@@ -24,10 +24,9 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .metric import MetricModel, Representation, fprime_from_xi
-from .quadrature import stencil_derivative
+from .metric import MetricModel, Representation
+from .quadrature import scalar_like
 
 
 def ricci_eigenvalues(A, B, C, n: int):
@@ -76,78 +75,7 @@ def chern_density_k(lam, mu, n: int, k: int):
 
 def abc_native(model: MetricModel, t):
     """(A, B, C) at native radii t, through the generator's exact representation."""
-    return model.engine.abc_of(t)
-
-
-def _native_from_r(model: MetricModel, r):
-    if model.representation is Representation.FROM_XI:
-        return np.asarray(r, dtype=float)
-    aux = getattr(model, "_r_to_native", None)
-    if aux is None:
-        pos = model.r > 0
-        lr = np.log(model.r[pos])
-        lt = np.log(model.native[pos])
-        keep = np.concatenate(([True], np.diff(lr) > 0))
-        aux = PchipInterpolator(lr[keep], lt[keep], extrapolate=False)
-        model._r_to_native = aux
-    r_arr = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):
-        lr_q = np.clip(np.log(r_arr), aux.x[0], aux.x[-1])
-    t = np.exp(aux(lr_q))
-    # polish the interpolated seed: r(t) = t^2/h, d ln r / d ln t = 2/(1 - xi),
-    # so two or three Newton corrections take ~1e-5 seed error to rounding
-    eng = model.engine
-    lo = float(np.min(model.native[model.native > 0]))
-    hi = float(model.native[-1])
-    for _ in range(3):
-        t = np.clip(t, lo, hi)
-        h = np.asarray(eng.h_of(t), dtype=float)
-        xi = np.asarray(eng.xi_of(t), dtype=float)
-        resid = 2.0 * np.log(t) - np.log(h) - lr_q
-        t = t * np.exp(np.clip(-0.5 * resid * (1.0 - xi), -0.5, 0.5))
-    out = np.clip(t, lo, hi)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def _native_from_x(model: MetricModel, x):
-    if model.representation is Representation.FROM_F:
-        return np.asarray(x, dtype=float)
-    aux = getattr(model, "_x_to_native", None)
-    if aux is None:
-        pos = model.x > 0
-        lx = np.log(model.x[pos])
-        lt = np.log(model.native[pos])
-        keep = np.concatenate(([True], np.diff(lx) > 0))
-        aux = PchipInterpolator(lx[keep], lt[keep], extrapolate=False)
-        model._x_to_native = aux
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        lx_q = np.clip(np.log(x_arr), aux.x[0], aux.x[-1])
-    t = np.exp(aux(lx_q))
-    # x(t) = sqrt(t h), d ln x / d ln t = (1 - xi)/2; skip the correction
-    # where xi has saturated (x is constant there, the seed is all there is)
-    eng = model.engine
-    lo = float(np.min(model.native[model.native > 0]))
-    hi = float(model.native[-1])
-    for _ in range(3):
-        t = np.clip(t, lo, hi)
-        h = np.asarray(eng.h_of(t), dtype=float)
-        xi = np.asarray(eng.xi_of(t), dtype=float)
-        slope = 0.5 * (1.0 - xi)
-        resid = 0.5 * (np.log(t) + np.log(h)) - lx_q
-        step = np.where(slope > 1e-9, resid / np.maximum(slope, 1e-9), 0.0)
-        t = t * np.exp(np.clip(-step, -0.5, 0.5))
-    out = np.clip(t, lo, hi)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _seam_indices(model: MetricModel):
-    """Nodes bounding the smooth segments of the native table."""
-    bp = np.asarray(model.engine.breakpoints_native, dtype=float)
-    if bp.size == 0:
-        return None
-    idx = np.clip(np.searchsorted(model.native, bp), 0, model.native.size - 1)
-    return np.unique(idx)
+    return scalar_like(t, model.engine.abc_of(t))
 
 
 def abc_at_r(model: MetricModel, r):
@@ -158,20 +86,11 @@ def abc_at_r(model: MetricModel, r):
     route numerically independent of the native one.
     """
     if model.representation is Representation.FROM_XI:
-        return model.engine.abc_of(r)
-    aux = getattr(model, "_dxi_dr_interp", None)
-    if aux is None:
-        table = stencil_derivative(model.xi, model.r, segments=_seam_indices(model))
-        aux = PchipInterpolator(model.native, table, extrapolate=False)
-        model._dxi_dr_interp = aux
-    t = _native_from_r(model, r)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _, B, C = model.engine.abc_of(t_arr)
-    h = np.atleast_1d(np.asarray(model.engine.h_of(t_arr), dtype=float))
-    A = np.asarray(aux(np.clip(t_arr, model.native[0], model.native[-1])), dtype=float) / h
-    if np.ndim(r) == 0:
-        return float(A[0]), float(np.atleast_1d(B)[0]), float(np.atleast_1d(C)[0])
-    return A, np.atleast_1d(B), np.atleast_1d(C)
+        return scalar_like(r, model.engine.abc_of(r))
+    t = model.native_from_r(r)
+    _, B, C = model.engine.abc_of(t)
+    A = model.dxi_dr(np.clip(t, model.native[0], model.native[-1])) / model.engine.h_of(t)
+    return scalar_like(r, (A, B, C))
 
 
 def abc_at_x(model: MetricModel, x):
@@ -182,31 +101,18 @@ def abc_at_x(model: MetricModel, x):
     Needs xi < 1 (F' diverges at saturation).
     """
     if model.representation is Representation.FROM_F:
-        return model.engine.abc_of(x)
+        return scalar_like(x, model.engine.abc_of(x))
     if float(np.max(model.xi)) >= 1.0 - 1e-9:
         raise ValueError("transverse route needs xi < 1 everywhere (no saturation)")
-    aux = getattr(model, "_fpp_of_x_interp", None)
-    if aux is None:
-        fp_table = fprime_from_xi(np.clip(model.xi, 0.0, 1.0 - 1e-15))
-        fpp_table = stencil_derivative(fp_table, model.x, segments=_seam_indices(model))
-        aux = (
-            PchipInterpolator(model.x, fp_table, extrapolate=False),
-            PchipInterpolator(model.x, fpp_table, extrapolate=False),
-        )
-        model._fpp_of_x_interp = aux
-    t = _native_from_x(model, x)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _, B, C = model.engine.abc_of(t_arr)
-    x_arr = np.clip(np.atleast_1d(np.asarray(model.engine.x_of(t_arr), dtype=float)),
-                    model.x[0], model.x[-1])
-    fp = np.asarray(aux[0](x_arr), dtype=float)
-    fpp = np.asarray(aux[1](x_arr), dtype=float)
+    fp_of_x, fpp_of_x = model.fprime_over_x
+    t = model.native_from_x(x)
+    _, B, C = model.engine.abc_of(t)
+    x_t = np.clip(model.engine.x_of(t), model.x[0], model.x[-1])
+    fp, fpp = fp_of_x(x_t), fpp_of_x(x_t)
     sq2 = 1.0 + fp * fp
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = np.where(x_arr > 0, fp * fpp / (2.0 * x_arr * sq2 * sq2), 0.5 * fpp**2)
-    if np.ndim(x) == 0:
-        return float(A[0]), float(np.atleast_1d(B)[0]), float(np.atleast_1d(C)[0])
-    return A, np.atleast_1d(B), np.atleast_1d(C)
+        A = np.where(x_t > 0, fp * fpp / (2.0 * x_t * sq2 * sq2), 0.5 * fpp**2)
+    return scalar_like(x, (A, B, C))
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +130,12 @@ def curvature_table(model: MetricModel, rows: int = 256) -> dict[str, np.ndarray
     A, B, C = model.engine.abc_of(t)
     lam, mu = ricci_eigenvalues(A, B, C, model.n)
     return {
-        "r": np.asarray(model.engine.r_of(t), dtype=float),
-        "x": np.asarray(model.engine.x_of(t), dtype=float),
-        "A": np.asarray(A, dtype=float),
-        "B": np.asarray(B, dtype=float),
-        "C": np.asarray(C, dtype=float),
-        "lambda": np.asarray(lam, dtype=float),
-        "mu": np.asarray(mu, dtype=float),
-        "scalar": np.asarray(scalar_curvature(A, B, C, model.n), dtype=float),
+        "r": model.engine.r_of(t),
+        "x": model.engine.x_of(t),
+        "A": A,
+        "B": B,
+        "C": C,
+        "lambda": lam,
+        "mu": mu,
+        "scalar": scalar_curvature(A, B, C, model.n),
     }

@@ -221,9 +221,14 @@ def evaluate(node: Expr, t):
     t_arr = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         out = _eval(node, t_arr)
+    return _shaped_like(t, out)
+
+
+def _shaped_like(t, out):
+    """``out`` as a float for scalar ``t``, else as an array of t's shape."""
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
-    return np.broadcast_to(out, t_arr.shape).astype(float, copy=True) if np.ndim(out) == 0 else out
+    return np.broadcast_to(out, np.shape(t)).astype(float, copy=True) if np.ndim(out) == 0 else out
 
 
 def _eval(node: Expr, t: np.ndarray):
@@ -232,7 +237,13 @@ def _eval(node: Expr, t: np.ndarray):
     if isinstance(node, Var):
         return t
     if isinstance(node, Unary):
-        a = _eval(node.arg, t)
+        return _apply(node, _eval(node.arg, t))
+    return _apply(node, _eval(node.lhs, t), _eval(node.rhs, t))
+
+
+def _apply(node: Unary | Binary, a, b=None):
+    """Value of one operator node from its operand values, with the domain checks."""
+    if isinstance(node, Unary):
         if node.op == "neg":
             return -a
         if node.op == "exp":
@@ -251,8 +262,6 @@ def _eval(node: Expr, t: np.ndarray):
         if node.op == "min1":
             return np.minimum(a, 1.0)
         raise AssertionError(f"unknown unary op {node.op}")
-    a = _eval(node.lhs, t)
-    b = _eval(node.rhs, t)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -285,23 +294,17 @@ def evaluate_derivative(node: Expr, t):
     t_arr = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         _, dout = _eval_dual(node, t_arr)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(dout)
-    return (
-        np.broadcast_to(dout, t_arr.shape).astype(float, copy=True)
-        if np.ndim(dout) == 0
-        else dout
-    )
+    return _shaped_like(t, dout)
 
 
 def _eval_dual(node: Expr, t: np.ndarray):
     if isinstance(node, Const):
         return node.value, 0.0
     if isinstance(node, Var):
-        return t, np.ones_like(t) if np.ndim(t) else 1.0
+        return t, np.ones_like(t)
     if isinstance(node, Unary):
         a, da = _eval_dual(node.arg, t)
-        val = _eval(node, t)  # reuse the domain checks
+        val = _apply(node, a)
         if node.op == "neg":
             return val, -da
         if node.op == "exp":
@@ -316,7 +319,7 @@ def _eval_dual(node: Expr, t: np.ndarray):
         raise AssertionError(f"unknown unary op {node.op}")
     a, da = _eval_dual(node.lhs, t)
     b, db = _eval_dual(node.rhs, t)
-    val = _eval(node, t)
+    val = _apply(node, a, b)
     if node.op == "+":
         return val, da + db
     if node.op == "-":

@@ -37,13 +37,14 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
+# powers as ufuncs, so scalar queries round like array ones (see scalar_like)
 def _smoothstep_integral(u: np.ndarray) -> np.ndarray:
     # Q(u) = integral of S from 0; Q(1) = 1/2
-    return u ** 4 * (2.5 + u * (-3.0 + u))
+    return np.power(u, 4) * (2.5 + u * (-3.0 + u))
 
 
 def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
-    return 30.0 * u * u * (1.0 - u) ** 2
+    return 30.0 * u * u * np.square(1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,15 @@ class RawStepSource(_StepSourceBase):
         self.cmass = np.concatenate(([0.0], np.cumsum(self.masses)))
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float)
         i = self._index(t_arr)
-        out = np.where((t_arr >= self.a[i]) & (t_arr < self.b[i]), self.H[i], 0.0)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return np.where((t_arr >= self.a[i]) & (t_arr < self.b[i]), self.H[i], 0.0)
 
     def cumulative(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float)
         i = self._index(t_arr)
-        out = self.cmass[i] + self.H[i] * np.clip(t_arr - self.a[i], 0.0, self.w[i])
-        out[t_arr < self.a[0]] = 0.0
-        return float(out[0]) if np.ndim(t) == 0 else out
+        # before the first station i = 0 and the clip gives exactly 0
+        return self.cmass[i] + self.H[i] * np.clip(t_arr - self.a[i], 0.0, self.w[i])
 
     @property
     def total_mass(self):
@@ -146,34 +145,31 @@ class SmoothStepSource(_StepSourceBase):
         )
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float)
         i = self._index(t_arr)
         u_rise = np.clip((t_arr - self.a[i]) / self.tw[i], 0.0, 1.0)
         u_fall = np.clip((self.b[i] - t_arr) / self.tw[i], 0.0, 1.0)
-        out = self.H[i] * _smoothstep(u_rise) * _smoothstep(u_fall)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return self.H[i] * _smoothstep(u_rise) * _smoothstep(u_fall)
 
     def derivative(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float)
         i = self._index(t_arr)
         u_rise = np.clip((t_arr - self.a[i]) / self.tw[i], 0.0, 1.0)
         u_fall = np.clip((self.b[i] - t_arr) / self.tw[i], 0.0, 1.0)
-        out = (self.H[i] / self.tw[i]) * (
+        return (self.H[i] / self.tw[i]) * (
             _smoothstep_deriv(u_rise) * _smoothstep(u_fall)
             - _smoothstep(u_rise) * _smoothstep_deriv(u_fall)
         )
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def cumulative(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.asarray(t, dtype=float)
         i = self._index(t_arr)
         a, b, tw = self.a[i], self.b[i], self.tw[i]
         rise = tw * _smoothstep_integral(np.clip((t_arr - a) / tw, 0.0, 1.0))
         plateau = np.clip(t_arr - (a + tw), 0.0, b - a - 2.0 * tw)
         fall = tw * (0.5 - _smoothstep_integral(np.clip((b - t_arr) / tw, 0.0, 1.0)))
-        out = self.cmass[i] + self.H[i] * (rise + plateau + fall)
-        out[t_arr < self.a[0]] = 0.0
-        return float(out[0]) if np.ndim(t) == 0 else out
+        # before the first station i = 0 and rise, plateau and fall are exactly 0
+        return self.cmass[i] + self.H[i] * (rise + plateau + fall)
 
     @property
     def total_mass(self):
@@ -211,14 +207,12 @@ class SaturationRampSource(ProfileSource):
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         u = np.clip((t_arr - 0.5 * self.r0) / (0.5 * self.r0), 0.0, 1.0)
-        out = _smoothstep(u)
-        return float(out) if np.ndim(t) == 0 else out
+        return _smoothstep(u)
 
     def derivative(self, t):
         t_arr = np.asarray(t, dtype=float)
         u = np.clip((t_arr - 0.5 * self.r0) / (0.5 * self.r0), 0.0, 1.0)
-        out = _smoothstep_deriv(u) * (2.0 / self.r0)
-        return float(out) if np.ndim(t) == 0 else out
+        return _smoothstep_deriv(u) * (2.0 / self.r0)
 
     def breakpoints(self):
         return np.array([0.5 * self.r0, self.r0])

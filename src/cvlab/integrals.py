@@ -28,7 +28,7 @@ import numpy as np
 
 from .curvature import chern_density_k, ricci_eigenvalues, scalar_curvature, sigma_k
 from .metric import MetricClass, MetricModel, Representation
-from .quadrature import CumulativeIntegral, adaptive_integral, extrapolate_limit
+from .quadrature import CumulativeIntegral, adaptive_integral, extrapolate_limit, scalar_like
 
 
 # ---------------------------------------------------------------------------
@@ -39,18 +39,14 @@ def distance_s(model: MetricModel, r=None, x=None):
     """Geodesic distance from the origin to the sphere at radius r (or x)."""
     if (r is None) == (x is None):
         raise ValueError("give exactly one of r or x")
-    from .curvature import _native_from_r, _native_from_x
-
-    t = _native_from_r(model, r) if r is not None else _native_from_x(model, x)
+    t = model.native_from_r(r) if r is not None else model.native_from_x(x)
     return model.engine.s_of(t)
 
 
 def volume_ball(model: MetricModel, s):
     """Volume of the geodesic ball of radius s: c_n * v^n."""
-    t = model.radius_from_s(s)
-    v = np.asarray(model.engine.v_of(t), dtype=float)
-    out = model.c_n * v**model.n
-    return float(out) if np.ndim(s) == 0 else out
+    v = model.engine.v_of(model.radius_from_s(s))
+    return scalar_like(s, model.c_n * np.power(v, model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +90,7 @@ def chern_power_density(model: MetricModel, k: int):
 def amplitude_power_density(model: MetricModel, p: float):
     def density(t):
         A, _, _ = model.engine.abc_of(t)
-        return np.abs(A) ** p
+        return np.power(np.abs(A), p)
 
     return density
 
@@ -106,7 +102,8 @@ def amplitude_power_density(model: MetricModel, p: float):
 def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None = None) -> float:
     """Integral of a pointwise density over the geodesic ball B(s).
 
-    ``density`` maps native radii (ndarray) to values; the volume element
+    ``density`` maps native radii to values of the same shape (QUADPACK
+    queries one point at a time, as a scalar); the volume element
     n v^(n-1) v' and the c_n factor are supplied here.  Adaptive quadrature
     with the profile's breakpoints; raises QuadratureError on failure.
     """
@@ -114,11 +111,9 @@ def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None =
     t_end = float(model.radius_from_s(float(s)))
 
     def integrand(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        v = np.asarray(model.engine.v_of(t_arr), dtype=float)
-        vp = np.asarray(model.engine.vprime_of(t_arr), dtype=float)
-        val = np.asarray(density(t_arr), dtype=float) * n * v ** (n - 1) * vp
-        return float(val[0]) if np.ndim(t) == 0 else val
+        v = model.engine.v_of(t)  # a Python float at scalar t: powers via np.power
+        val = density(t) * n * np.power(v, n - 1) * model.engine.vprime_of(t)
+        return scalar_like(t, val)
 
     tol = rel_tol if rel_tol is not None else model.options.quad_rel_tol
     bps = np.asarray(model.engine.breakpoints_native, dtype=float)
@@ -156,37 +151,30 @@ class BallIntegralSeries:
 
 
 def _density_cumulative(model: MetricModel, key, density) -> CumulativeIntegral:
-    cache = getattr(model, "_series_cache", None)
-    if cache is None:
-        cache = {}
-        model._series_cache = cache
+    cache = model._series_cache
     if key not in cache:
         n = model.n
 
         def integrand(t):
-            v = np.asarray(model.engine.v_of(t), dtype=float)
-            vp = np.asarray(model.engine.vprime_of(t), dtype=float)
-            return np.asarray(density(t), dtype=float) * n * v ** (n - 1) * vp
+            v = model.engine.v_of(t)
+            return density(t) * n * v ** (n - 1) * model.engine.vprime_of(t)
 
-        cache[key] = CumulativeIntegral(integrand, model.native, order=model.options.gl_order)
+        cache[key] = CumulativeIntegral(integrand, model.native)
     return cache[key]
 
 
 def default_s_grid(model: MetricModel, points: int | None = None) -> np.ndarray:
     """Log-spaced ball radii from s(r = 1) out to the end of the grid."""
-    from .curvature import _native_from_r
-
     pts = points if points is not None else model.options.series_points
-    s_lo = float(np.atleast_1d(model.engine.s_of(_native_from_r(model, 1.0)))[0])
+    s_lo = distance_s(model, r=1.0)
     s_hi = float(model.s[-1])
     return np.geomspace(s_lo, s_hi, pts)
 
 
 def _series_skeleton(model, s_grid):
     s_arr = np.asarray(s_grid if s_grid is not None else default_s_grid(model), dtype=float)
-    t_arr = np.asarray(model.radius_from_s(s_arr), dtype=float)
-    v = np.asarray(model.engine.v_of(t_arr), dtype=float)
-    return s_arr, t_arr, model.c_n * v**model.n
+    t_arr = model.radius_from_s(s_arr)
+    return s_arr, t_arr, model.c_n * model.engine.v_of(t_arr) ** model.n
 
 
 def normalized_sigma_series(model: MetricModel, k: int, s_grid=None) -> BallIntegralSeries:
@@ -284,9 +272,9 @@ def chern_number(model: MetricModel) -> ChernTotal:
     cum = _density_cumulative(model, ("chern", n), chern_power_density(model, n))
     numeric = float(cum.total)
     end = model.native[-1]
-    xi_end = float(np.atleast_1d(model.engine.xi_of(end))[0])
-    h_end = float(np.atleast_1d(model.engine.h_of(end))[0])
-    f_end = float(np.atleast_1d(model.engine.f_of(end))[0])
+    xi_end = float(model.engine.xi_of(end))
+    h_end = float(model.engine.h_of(end))
+    f_end = float(model.engine.f_of(end))
     t_end = xi_end + (n - 1) * (1.0 - h_end / f_end)
     xi_inf = model.classification.xi_infinity
     tail = (n * xi_inf) ** n - t_end**n
@@ -326,50 +314,42 @@ def mixed_curvature_ibp(model: MetricModel, k: int, t_end: float | None = None) 
     n = model.n
     if not 1 <= k < n:
         raise ValueError("the mixed comparison needs 1 <= k < n")
+    if model.from_tables:
+        raise ValueError(
+            "the identity integrates the generator's derivatives, which a model loaded "
+            "from saved tables does not have; rebuild the model from its profile"
+        )
     end = float(t_end) if t_end is not None else float(model.native[-1])
-    opts = model.options
     eng = model.engine
+    v_end = float(eng.v_of(end))
 
     if model.representation is Representation.FROM_XI:
         if float(np.max(model.xi)) >= 1.0 - 1e-12:
             raise ValueError("identity needs xi < 1 on the grid")
 
         def direct_integrand(t):
-            v = np.asarray(eng.v_of(t), dtype=float)
-            return v ** (n - k) * np.asarray(eng.xi_prime_of(t), dtype=float)
+            return eng.v_of(t) ** (n - k) * eng.xi_prime_of(t)
 
         def bulk_integrand(t):
-            v = np.asarray(eng.v_of(t), dtype=float)
-            h = np.asarray(eng.h_of(t), dtype=float)
-            xi = np.asarray(eng.xi_of(t), dtype=float)
-            return v ** (n - k - 1) * h * (1.0 - xi)
+            return eng.v_of(t) ** (n - k - 1) * eng.h_of(t) * (1.0 - eng.xi_of(t))
 
-        xi_end = float(np.atleast_1d(eng.xi_of(end))[0])
-        boundary = -n * float(np.atleast_1d(eng.v_of(end))[0]) ** (n - k) * (1.0 - xi_end)
+        boundary = -n * v_end ** (n - k) * (1.0 - float(eng.xi_of(end)))
     else:
 
         def direct_integrand(t):
-            fp = np.asarray(eng.fprime_of(t), dtype=float)
-            fpp = np.asarray(eng.fpp_of(t), dtype=float)
-            sq = np.hypot(1.0, fp)
-            v = np.asarray(eng.v_of(t), dtype=float)
-            return fp * fpp / sq**3 * v ** (n - k)
+            fp = eng.fprime_of(t)
+            return fp * eng.fpp_of(t) / np.hypot(1.0, fp) ** 3 * eng.v_of(t) ** (n - k)
 
         def bulk_integrand(t):
-            t_arr = np.asarray(t, dtype=float)
-            v = np.asarray(eng.v_of(t_arr), dtype=float)
-            return v ** (n - k - 1) * 2.0 * t_arr
+            return eng.v_of(t) ** (n - k - 1) * 2.0 * t
 
-        fp_end = float(np.atleast_1d(eng.fprime_of(end))[0])
-        boundary = (
-            -n * float(np.atleast_1d(eng.v_of(end))[0]) ** (n - k) / np.hypot(1.0, fp_end)
-        )
+        boundary = -n * v_end ** (n - k) / np.hypot(1.0, float(eng.fprime_of(end)))
 
     grid = model.native[model.native <= end * (1 + 1e-12)]
     if grid[-1] < end:
         grid = np.concatenate((grid, [end]))
-    direct = model.c_n * n * CumulativeIntegral(direct_integrand, grid, order=opts.gl_order).total
-    bulk = CumulativeIntegral(bulk_integrand, grid, order=opts.gl_order).total
+    direct = model.c_n * n * CumulativeIntegral(direct_integrand, grid).total
+    bulk = CumulativeIntegral(bulk_integrand, grid).total
     # the boundary term at the origin vanishes: v(0) = 0 and k < n
     by_parts = model.c_n * (boundary + n * (n - k) * bulk)
     return IbpCheck(direct=direct, by_parts=by_parts)
@@ -402,8 +382,8 @@ def volume_ratio_limit(model: MetricModel, k: int) -> RatioLimit:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     probes = model.native[-1] / np.array([100.0, 10.0, 1.0])
-    v = np.asarray(model.engine.v_of(probes), dtype=float)
-    s = np.asarray(model.engine.s_of(probes), dtype=float)
+    v = model.engine.v_of(probes)
+    s = model.engine.s_of(probes)
     vals = (v / s**2) ** (n - k)
     measured = extrapolate_limit(vals)
     predicted = (1.0 - model.classification.xi_infinity) ** (n - k)
@@ -436,8 +416,8 @@ def volume_growth_report(model: MetricModel, match_tol: float = 0.02) -> VolumeG
         r0 = cls.r0
         lo = max(100.0 * r0, model.native[-1] ** 0.5)
         probes = np.geomspace(lo, model.native[-1], 16)
-        v = np.asarray(model.engine.v_of(probes), dtype=float)
-        s = np.asarray(model.engine.s_of(probes), dtype=float)
+        v = model.engine.v_of(probes)
+        s = model.engine.s_of(probes)
         ratio = v / s  # tends to 2 x0 with O(1/log) corrections
         invlog = 1.0 / np.log(probes / r0)
         coeffs = np.polyfit(invlog, ratio, 2)
@@ -450,8 +430,8 @@ def volume_growth_report(model: MetricModel, match_tol: float = 0.02) -> VolumeG
     else:
         power = 2 * n
         probes = model.native[-1] / np.array([100.0, 10.0, 1.0])
-        v = np.asarray(model.engine.v_of(probes), dtype=float)
-        s = np.asarray(model.engine.s_of(probes), dtype=float)
+        v = model.engine.v_of(probes)
+        s = model.engine.s_of(probes)
         vals = model.c_n * (v / s**2) ** n
         measured = extrapolate_limit(vals)
         one_minus = 1.0 - cls.xi_infinity

@@ -26,19 +26,29 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property, partialmethod
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .profiles import (
+    CallableSource,
     FamilySpec,
     GeneratorKind,
     GeneratorProfile,
     ProfileDomainError,
     ProfileError,
+    SampledSource,
     eval_profile,
 )
-from .quadrature import CumulativeIntegral, extrapolate_limit, grid_derivative
+from .quadrature import (
+    CumulativeIntegral,
+    derivative_fd,
+    extrapolate_limit,
+    grid_derivative,
+    scalar_like,
+    stencil_derivative,
+)
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +106,6 @@ class BuildOptions:
     r_max: float = 1e8  # span of the r-grid for xi- and h-kind profiles
     x_max: float | None = None  # span of the x-grid for fpp-kind; default from profile
     h0: float = 1.0
-    gl_order: int = 8
     nodes_per_feature: int = 256  # refinement nodes per profile transition
     quad_rel_tol: float = 1e-8
     series_points: int = 64
@@ -133,7 +142,6 @@ class _XiEngine:
 
     def __init__(self, profile: GeneratorProfile, opts: BuildOptions):
         self.profile = profile
-        self.opts = opts
         self.h0 = opts.h0
         end = min(profile.domain_end, opts.r_max)
         self.grid = _master_grid(profile.source, end, opts)
@@ -146,9 +154,7 @@ class _XiEngine:
                 )
             self._xi_fn = lambda t: np.asarray(eval_profile(profile, t), dtype=float)
             # xi(0) = 0 makes xi(t)/t integrable; quadrature nodes never sit at 0
-            self._log_h = CumulativeIntegral(
-                lambda t: self._xi_fn(t) / t, self.grid, order=opts.gl_order
-            )
+            self._log_h = CumulativeIntegral(lambda t: self._xi_fn(t) / t, self.grid)
             self._h_fn = lambda t: self.h0 * np.exp(-self._log_h(t))
         else:  # injected h; xi derived.  Origin-singular h is truncated at the grid floor.
             try:
@@ -159,30 +165,22 @@ class _XiEngine:
             self._xi_fn = self._xi_from_h
             self._log_h = None
 
-        self._v = CumulativeIntegral(self._h_fn, self.grid, order=opts.gl_order)
-        self._w = CumulativeIntegral(
-            lambda t: self._xi_fn(t) * self._h_fn(t), self.grid, order=opts.gl_order
-        )
+        self._v = CumulativeIntegral(self._h_fn, self.grid)
+        self._w = CumulativeIntegral(lambda t: self._xi_fn(t) * self._h_fn(t), self.grid)
         ugrid = np.sqrt(self.grid)
         if ugrid[0] > 0:
             ugrid = np.concatenate(([0.0], ugrid))
-        self._s_u = CumulativeIntegral(
-            lambda u: np.sqrt(self._h_fn(u * u)), ugrid, order=opts.gl_order
-        )
+        self._s_u = CumulativeIntegral(lambda u: np.sqrt(self._h_fn(u * u)), ugrid)
 
     def _xi_from_h(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        hp = self.profile.source.derivative(t_arr)
+        t = np.asarray(t, dtype=float)
+        hp = self.profile.source.derivative(t)
         if hp is None:
-            from .quadrature import derivative_fd
-
             # keep the difference stencil strictly inside (0, grid_end)
             floor = self.grid[0] if self.grid[0] > 0 else self.grid[1]
-            centers = np.clip(t_arr, floor, self.grid[-1] * (1.0 - 2e-6))
+            centers = np.clip(t, floor, self.grid[-1] * (1.0 - 2e-6))
             hp = derivative_fd(self._h_fn, centers)
-        out = -t_arr * np.asarray(hp, dtype=float) / self._h_fn(t_arr)
-        out[t_arr == 0.0] = 0.0
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return np.where(t == 0.0, 0.0, -t * np.asarray(hp, dtype=float) / self._h_fn(t))
 
     # -- callables in the native coordinate (r) --
 
@@ -199,12 +197,8 @@ class _XiEngine:
         return self._w(t)
 
     def f_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        pos = t_arr > 0
-        out[pos] = self._v(t_arr[pos]) / t_arr[pos]
-        out[~pos] = self.h0
-        return float(out[0]) if np.ndim(t) == 0 else out
+        t = np.asarray(t, dtype=float)
+        return np.divide(self._v(t), t, out=np.full_like(t, self.h0), where=t > 0)
 
     def s_of(self, t):
         return self._s_u(np.sqrt(np.asarray(t, dtype=float)))
@@ -221,47 +215,29 @@ class _XiEngine:
         return self.h_of(t)
 
     def xi_prime_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        exact = self.profile.source.derivative(t_arr)
+        t = np.asarray(t, dtype=float)
+        exact = self.profile.source.derivative(t)
         if exact is not None and self.profile.kind is GeneratorKind.XI:
-            out = np.asarray(exact, dtype=float)
-        else:
-            from .quadrature import derivative_fd
-
-            out = np.empty_like(t_arr)
-            pos = t_arr > 0
-            out[pos] = derivative_fd(self._xi_fn, t_arr[pos])
-            if np.any(~pos):
-                eps = 1e-7
-                # second-order one-sided difference; xi(0) = 0
-                out[~pos] = (4.0 * self._xi_fn(eps) - self._xi_fn(2 * eps)) / (2 * eps) - (
-                    3.0 * self._xi_fn(0.0) / (2 * eps)
-                )
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def fprime_of(self, t):
-        xi = np.atleast_1d(np.asarray(self.xi_of(t), dtype=float))
-        out = np.full_like(xi, np.inf)
-        sub = xi < 1.0
-        out[sub] = np.sqrt(np.clip(xi[sub], 0.0, None) * (2.0 - xi[sub])) / (1.0 - xi[sub])
-        return float(out[0]) if np.ndim(t) == 0 else out
+            return np.asarray(exact, dtype=float)
+        out = np.empty_like(t)
+        pos = t > 0
+        out[pos] = derivative_fd(self._xi_fn, t[pos])
+        if np.any(~pos):
+            eps = 1e-7
+            # second-order one-sided difference; xi(0) = 0
+            out[~pos] = (4.0 * self._xi_fn(eps) - self._xi_fn(2 * eps)) / (2 * eps) - (
+                3.0 * self._xi_fn(0.0) / (2 * eps)
+            )
+        return out
 
     def abc_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        h = np.atleast_1d(np.asarray(self.h_of(t_arr), dtype=float))
-        A = np.atleast_1d(np.asarray(self.xi_prime_of(t_arr), dtype=float)) / h
-        B = np.empty_like(t_arr)
-        C = np.empty_like(t_arr)
-        pos = t_arr > 0
-        v = self._v(t_arr[pos])
-        w = self._w(t_arr[pos])
-        xi = np.atleast_1d(np.asarray(self._xi_fn(t_arr[pos]), dtype=float))
-        B[pos] = (xi * v - w) / v**2
-        C[pos] = 2.0 * w / v**2
-        B[~pos] = 0.5 * A[~pos]
-        C[~pos] = A[~pos]
-        if np.ndim(t) == 0:
-            return float(A[0]), float(B[0]), float(C[0])
+        t = np.asarray(t, dtype=float)
+        A = self.xi_prime_of(t) / self.h_of(t)
+        v, w, xi = self._v(t), self._w(t), self._xi_fn(t)
+        v2 = np.square(v)  # a ufunc, not **: see scalar_like
+        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
+            B = np.where(t > 0, (xi * v - w) / v2, 0.5 * A)
+            C = np.where(t > 0, 2.0 * w / v2, A)
         return A, B, C
 
     @property
@@ -276,7 +252,6 @@ class _FEngine:
 
     def __init__(self, profile: GeneratorProfile, opts: BuildOptions):
         self.profile = profile
-        self.opts = opts
         self.h0 = opts.h0
         end = opts.x_max
         if end is None:
@@ -289,20 +264,15 @@ class _FEngine:
         self._fpp_fn = lambda t: np.asarray(eval_profile(profile, t), dtype=float)
         src = profile.source
         if src.cumulative(np.array([0.0])) is not None:
-            self._fp_fn = lambda t: np.asarray(src.cumulative(np.asarray(t, dtype=float)), dtype=float)
+            self._fp_fn = src.cumulative
         else:
-            cum = CumulativeIntegral(self._fpp_fn, self.grid, order=opts.gl_order)
-            self._fp_fn = cum
+            self._fp_fn = CumulativeIntegral(self._fpp_fn, self.grid)
 
         # w = v - x^2 = integral of 2*tau*(sq - 1); sq - 1 written stably
-        self._w = CumulativeIntegral(
-            lambda t: 2.0 * t * self._sq_minus_1(t), self.grid, order=opts.gl_order
-        )
-        self._s = CumulativeIntegral(self._sq_fn, self.grid, order=opts.gl_order)
+        self._w = CumulativeIntegral(lambda t: 2.0 * t * self._sq_minus_1(t), self.grid)
+        self._s = CumulativeIntegral(self._sq_fn, self.grid)
         # log(r/x^2): d/dx = 2*(sq - 1)/x, integrable since F'(x) ~ F''(0) x at 0
-        self._logr = CumulativeIntegral(
-            lambda t: 2.0 * self._sq_minus_1(t) / t, self.grid, order=opts.gl_order
-        )
+        self._logr = CumulativeIntegral(lambda t: 2.0 * self._sq_minus_1(t) / t, self.grid)
 
     def _sq_fn(self, t):
         return np.hypot(1.0, self._fp_fn(t))
@@ -345,11 +315,10 @@ class _FEngine:
         return self.h0 * np.exp(-self._logr(t))
 
     def f_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full_like(t_arr, self.h0)
-        pos = t_arr > 0
-        out[pos] = self.v_of(t_arr[pos]) * self.h_of(t_arr[pos]) / t_arr[pos] ** 2
-        return float(out[0]) if np.ndim(t) == 0 else out
+        t = np.asarray(t, dtype=float)
+        return np.divide(
+            self.v_of(t) * self.h_of(t), t**2, out=np.full_like(t, self.h0), where=t > 0
+        )
 
     def vprime_of(self, t):
         # dv/dx = 2*x*sqrt(1 + F'^2)
@@ -357,32 +326,47 @@ class _FEngine:
         return 2.0 * t_arr * self._sq_fn(t_arr)
 
     def abc_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        fp = self._fp_fn(t_arr)
-        fpp = self._fpp_fn(t_arr)
+        t = np.asarray(t, dtype=float)
+        fp = self._fp_fn(t)
+        fpp = self._fpp_fn(t)
         sq = np.hypot(1.0, fp)
-        A = np.empty_like(t_arr)
-        B = np.empty_like(t_arr)
-        C = np.empty_like(t_arr)
-        pos = t_arr > 0
-        x = t_arr[pos]
-        A[pos] = fp[pos] * fpp[pos] / (2.0 * x * sq[pos] ** 4)
-        w = self._w(x)
-        v = x * x + w
-        B[pos] = (x * x * (sq[pos] - 1.0) - w) / (v * v * sq[pos])
-        C[pos] = 2.0 * w / (v * v)
-        if np.any(~pos):
-            fpp0 = float(np.atleast_1d(self._fpp_fn(0.0))[0])
-            A[~pos] = 0.5 * fpp0**2
-            B[~pos] = 0.25 * fpp0**2
-            C[~pos] = 0.5 * fpp0**2
-        if np.ndim(t) == 0:
-            return float(A[0]), float(B[0]), float(C[0])
+        w = self._w(t)
+        v = t * t + w
+        with np.errstate(divide="ignore", invalid="ignore"):  # origin limits below
+            A = fp * fpp / (2.0 * t * np.power(sq, 4))  # not **: see scalar_like
+            B = (t * t * (sq - 1.0) - w) / (v * v * sq)
+            C = 2.0 * w / (v * v)
+        origin = t == 0
+        if np.any(origin):
+            fpp0 = float(self._fpp_fn(0.0))
+            A = np.where(origin, 0.5 * fpp0**2, A)
+            B = np.where(origin, 0.25 * fpp0**2, B)
+            C = np.where(origin, 0.5 * fpp0**2, C)
         return A, B, C
 
     @property
     def breakpoints_native(self):
         return self.profile.source.breakpoints()
+
+
+class _LogLogInverse:
+    """Native coordinate at given values of an increasing table.
+
+    Monotone PCHIP of log(native) against log(value) over the positive part
+    of the table; queries are clipped to the tabulated range.
+    """
+
+    def __init__(self, values: np.ndarray, native: np.ndarray):
+        pos = (values > 0) & (native > 0)
+        lq, lt = np.log(values[pos]), np.log(native[pos])
+        keep = np.concatenate(([True], np.diff(lq) > 0))
+        self._pchip = PchipInterpolator(lq[keep], lt[keep], extrapolate=False)
+
+    def __call__(self, q):
+        """(log q clipped to the table, native coordinate there)."""
+        with np.errstate(divide="ignore"):
+            lq = np.clip(np.log(q), self._pchip.x[0], self._pchip.x[-1])
+        return lq, np.exp(self._pchip(lq))
 
 
 @dataclass(eq=False)
@@ -400,8 +384,8 @@ class MetricModel:
     xi: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
-
-    _s_inverse: object = field(default=None, repr=False)
+    # cumulative ball integrals of curvature densities, keyed by density
+    _series_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def c_n(self) -> float:
@@ -416,20 +400,92 @@ class MetricModel:
     def native_end(self) -> float:
         return float(self.engine.grid[-1])
 
+    @property
+    def from_tables(self) -> bool:
+        """True for a model loaded from saved tables: it has no generator left."""
+        return isinstance(self.engine, _TableEngine)
+
+    @cached_property
+    def _s_inverse(self) -> _LogLogInverse:
+        return _LogLogInverse(self.s, self.native)
+
+    @cached_property
+    def _r_inverse(self) -> _LogLogInverse:
+        return _LogLogInverse(self.r, self.native)
+
+    @cached_property
+    def _x_inverse(self) -> _LogLogInverse:
+        return _LogLogInverse(self.x, self.native)
+
     def radius_from_s(self, s):
         """Native radius at geodesic distance s (monotone log-log interpolation)."""
-        if self._s_inverse is None:
-            pos = (self.s > 0) & (self.native > 0)
-            ls, lt = np.log(self.s[pos]), np.log(self.native[pos])
-            keep = np.concatenate(([True], np.diff(ls) > 0))
-            self._s_inverse = PchipInterpolator(ls[keep], lt[keep], extrapolate=False)
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= 0) or np.any(s_arr > self.s[-1] * (1 + 1e-9)):
             raise ValueError(
                 f"distance outside the tabulated range (0, {self.s[-1]:.6g}]"
             )
-        out = np.exp(self._s_inverse(np.clip(np.log(s_arr), self._s_inverse.x[0], self._s_inverse.x[-1])))
-        return float(out) if np.ndim(s) == 0 else out
+        return scalar_like(s, self._s_inverse(s_arr)[1])
+
+    def native_from_r(self, r):
+        """Native radius at r = |z|^2: log-log seed, polished by Newton steps."""
+        if self.representation is Representation.FROM_XI:
+            return np.asarray(r, dtype=float)
+        lr, t = self._r_inverse(r)
+
+        # r(t) = t^2/h, d ln r / d ln t = 2/(1 - xi), so two or three Newton
+        # corrections take ~1e-5 seed error to rounding
+        def log_step(t, h, xi):
+            return -0.5 * (2.0 * np.log(t) - np.log(h) - lr) * (1.0 - xi)
+
+        return self._newton(t, log_step)
+
+    def native_from_x(self, x):
+        """Native radius at transverse radius x (x^2 = r*h), polished like r."""
+        if self.representation is Representation.FROM_F:
+            return np.asarray(x, dtype=float)
+        lx, t = self._x_inverse(x)
+
+        # x(t) = sqrt(t h), d ln x / d ln t = (1 - xi)/2; skip the correction
+        # where xi has saturated (x is constant there, the seed is all there is)
+        def log_step(t, h, xi):
+            slope = 0.5 * (1.0 - xi)
+            resid = 0.5 * (np.log(t) + np.log(h)) - lx
+            return -np.where(slope > 1e-9, resid / np.maximum(slope, 1e-9), 0.0)
+
+        return self._newton(t, log_step)
+
+    def _newton(self, t, log_step):
+        """Three corrections t *= exp(log_step(t, h, xi)), kept inside the grid."""
+        lo = float(np.min(self.native[self.native > 0]))
+        hi = float(self.native[-1])
+        for _ in range(3):
+            t = np.clip(t, lo, hi)
+            step = log_step(t, self.engine.h_of(t), self.engine.xi_of(t))
+            t = t * np.exp(np.clip(step, -0.5, 0.5))
+        return np.clip(t, lo, hi)
+
+    def _seam_indices(self):
+        """Nodes bounding the smooth segments of the native table."""
+        bp = np.asarray(self.engine.breakpoints_native, dtype=float)
+        if bp.size == 0:
+            return None
+        idx = np.clip(np.searchsorted(self.native, bp), 0, self.native.size - 1)
+        return np.unique(idx)
+
+    @cached_property
+    def dxi_dr(self) -> PchipInterpolator:
+        """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils."""
+        table = stencil_derivative(self.xi, self.r, segments=self._seam_indices())
+        return PchipInterpolator(self.native, table, extrapolate=False)
+
+    @cached_property
+    def fprime_over_x(self) -> tuple[PchipInterpolator, PchipInterpolator]:
+        """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1."""
+        fp_table = fprime_from_xi(np.clip(self.xi, 0.0, 1.0 - 1e-15))
+        fpp_table = stencil_derivative(fp_table, self.x, segments=self._seam_indices())
+        return tuple(
+            PchipInterpolator(self.x, y, extrapolate=False) for y in (fp_table, fpp_table)
+        )
 
     def describe(self) -> dict:
         cls = self.classification
@@ -460,7 +516,7 @@ def _classify(engine, profile: GeneratorProfile, grid, xi, opts) -> Classificati
                 seg_t, seg_xi = grid[lo : first + 1], xi[lo : first + 1]
                 r0 = float(np.interp(1.0 - ATTAIN_TOL, seg_xi, seg_t))
             r0 = float(r0)
-            x0 = math.sqrt(r0 * float(np.atleast_1d(engine.h_of(r0))[0]))
+            x0 = math.sqrt(r0 * float(engine.h_of(r0)))
             return Classification(
                 MetricClass.S3, 1.0, VolumeGrowth.HALF_DIMENSIONAL, r0=r0, x0=x0
             )
@@ -470,7 +526,7 @@ def _classify(engine, profile: GeneratorProfile, grid, xi, opts) -> Classificati
         xi_inf = mass * mass / (math.hypot(1.0, mass) * (1.0 + math.hypot(1.0, mass)))
     else:
         probes = grid[-1] / np.array([100.0, 10.0, 1.0])
-        xi_inf = extrapolate_limit(np.asarray(engine.xi_of(probes), dtype=float))
+        xi_inf = extrapolate_limit(engine.xi_of(probes))
     xi_inf = float(np.clip(xi_inf, 0.0, 1.0))
 
     if xi_inf < 1.0 - LIMIT_TOL:
@@ -505,7 +561,7 @@ def build_metric(profile, n: int, options: BuildOptions | None = None) -> Metric
         engine = _XiEngine(profile, opts)
 
     grid = engine.grid
-    xi = np.asarray(engine.xi_of(grid), dtype=float)
+    xi = engine.xi_of(grid)
     classification = _classify(engine, profile, grid, xi, opts)
     return MetricModel(
         n=int(n),
@@ -514,13 +570,13 @@ def build_metric(profile, n: int, options: BuildOptions | None = None) -> Metric
         options=opts,
         classification=classification,
         engine=engine,
-        r=np.asarray(engine.r_of(grid), dtype=float),
-        x=np.asarray(engine.x_of(grid), dtype=float),
-        h=np.asarray(engine.h_of(grid), dtype=float),
-        f=np.asarray(engine.f_of(grid), dtype=float),
+        r=engine.r_of(grid),
+        x=engine.x_of(grid),
+        h=engine.h_of(grid),
+        f=engine.f_of(grid),
         xi=xi,
-        v=np.asarray(engine.v_of(grid), dtype=float),
-        s=np.asarray(engine.s_of(grid), dtype=float),
+        v=engine.v_of(grid),
+        s=engine.s_of(grid),
     )
 
 
@@ -553,8 +609,7 @@ def fprime_from_xi(xi):
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr < 0.0) or np.any(xi_arr >= 1.0):
         raise ValueError("fprime_from_xi needs 0 <= xi < 1 (xi = 1 is the cylinder limit)")
-    out = np.sqrt(xi_arr * (2.0 - xi_arr)) / (1.0 - xi_arr)
-    return float(out) if np.ndim(xi) == 0 else out
+    return scalar_like(xi, np.sqrt(xi_arr * (2.0 - xi_arr)) / (1.0 - xi_arr))
 
 
 def xi_from_fprime(fprime):
@@ -563,8 +618,7 @@ def xi_from_fprime(fprime):
     if np.any(fp < 0.0):
         raise ValueError("xi_from_fprime needs F' >= 0")
     sq = np.hypot(1.0, fp)
-    out = fp * fp / (sq * (1.0 + sq))
-    return float(out) if np.ndim(fprime) == 0 else out
+    return scalar_like(fprime, fp * fp / (sq * (1.0 + sq)))
 
 
 def xi_to_h(xi_profile, h0: float = 1.0, grid=None) -> np.ndarray:
@@ -607,6 +661,20 @@ def h_to_f(h_values, grid) -> np.ndarray:
 
 def save_metric(model: MetricModel, path) -> None:
     grid = model.native
+    tables = {
+        "r": model.r.tolist(),
+        "x": model.x.tolist(),
+        "h": model.h.tolist(),
+        "f": model.f.tolist(),
+        "xi": model.xi.tolist(),
+        "v": model.v.tolist(),
+        "s": model.s.tolist(),
+        "w": model.engine.w_of(grid).tolist(),
+        "vprime": model.engine.vprime_of(grid).tolist(),
+    }
+    if model.representation is Representation.FROM_F:
+        # the generator itself, so a loaded model's profile is F'' and not xi
+        tables["fpp"] = np.asarray(eval_profile(model.profile, grid), dtype=float).tolist()
     doc = {
         "schema": 1,
         "n": model.n,
@@ -615,17 +683,7 @@ def save_metric(model: MetricModel, path) -> None:
         "options": asdict(model.options),
         "classification": model.classification.as_dict(),
         "native": grid.tolist(),
-        "tables": {
-            "r": model.r.tolist(),
-            "x": model.x.tolist(),
-            "h": model.h.tolist(),
-            "f": model.f.tolist(),
-            "xi": model.xi.tolist(),
-            "v": model.v.tolist(),
-            "s": model.s.tolist(),
-            "w": np.asarray(model.engine.w_of(grid), dtype=float).tolist(),
-            "vprime": np.asarray(model.engine.vprime_of(grid), dtype=float).tolist(),
-        },
+        "tables": tables,
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
@@ -637,62 +695,34 @@ def save_metric(model: MetricModel, path) -> None:
 class _TableEngine:
     """Engine reconstructed from saved tables; interpolated, reduced fidelity."""
 
-    def __init__(self, native, tables, representation, h0):
+    def __init__(self, native, tables):
         self.grid = np.asarray(native, dtype=float)
-        self.representation = representation
-        self.h0 = h0
         self._tables = {k: np.asarray(v, dtype=float) for k, v in tables.items()}
+        # d(xi)/dr regardless of the native coordinate
+        self._tables["dxi_dr"] = grid_derivative(self._tables["xi"], self._tables["r"])
         self._interp = {}
-        self._dxi_dr = grid_derivative(self._tables["xi"], self._tables["r"])
 
     def _at(self, key, t):
         if key not in self._interp:
             self._interp[key] = PchipInterpolator(self.grid, self._tables[key], extrapolate=False)
-        t_arr = np.clip(np.asarray(t, dtype=float), self.grid[0], self.grid[-1])
-        out = self._interp[key](t_arr)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._interp[key](np.clip(np.asarray(t, dtype=float), self.grid[0], self.grid[-1]))
 
-    def xi_of(self, t):
-        return self._at("xi", t)
-
-    def h_of(self, t):
-        return self._at("h", t)
-
-    def f_of(self, t):
-        return self._at("f", t)
-
-    def v_of(self, t):
-        return self._at("v", t)
-
-    def w_of(self, t):
-        return self._at("w", t)
-
-    def s_of(self, t):
-        return self._at("s", t)
-
-    def r_of(self, t):
-        return self._at("r", t)
-
-    def x_of(self, t):
-        return self._at("x", t)
-
-    def vprime_of(self, t):
-        return self._at("vprime", t)
+    xi_of = partialmethod(_at, "xi")
+    h_of = partialmethod(_at, "h")
+    f_of = partialmethod(_at, "f")
+    v_of = partialmethod(_at, "v")
+    w_of = partialmethod(_at, "w")
+    s_of = partialmethod(_at, "s")
+    r_of = partialmethod(_at, "r")
+    x_of = partialmethod(_at, "x")
+    vprime_of = partialmethod(_at, "vprime")
 
     def abc_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if "dxi_dr" not in self._interp:
-            self._interp["dxi_dr"] = PchipInterpolator(self.grid, self._dxi_dr, extrapolate=False)
-        dxi = self._interp["dxi_dr"](np.clip(t_arr, self.grid[0], self.grid[-1]))
-        # the derivative table is d(xi)/dr regardless of the native coordinate
-        A = np.asarray(dxi, dtype=float) / np.asarray(self._at("h", t_arr), dtype=float)
-        v = np.asarray(self._at("v", t_arr), dtype=float)
-        w = np.asarray(self._at("w", t_arr), dtype=float)
-        xi = np.asarray(self._at("xi", t_arr), dtype=float)
-        B = np.where(v > 0, (xi * v - w) / np.maximum(v, 1e-300) ** 2, 0.5 * A)
-        C = np.where(v > 0, 2.0 * w / np.maximum(v, 1e-300) ** 2, A)
-        if np.ndim(t) == 0:
-            return float(A[0]), float(B[0]), float(C[0])
+        A = self._at("dxi_dr", t) / self._at("h", t)
+        v, w, xi = self._at("v", t), self._at("w", t), self._at("xi", t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
+            B = np.where(v > 0, (xi * v - w) / v**2, 0.5 * A)
+            C = np.where(v > 0, 2.0 * w / v**2, A)
         return A, B, C
 
     @property
@@ -706,8 +736,9 @@ def load_metric(path) -> MetricModel:
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported metric cache schema {doc.get('schema')!r}")
     representation = Representation(doc["representation"])
+    doc["options"].pop("gl_order", None)  # written before the Gauss order was fixed at 8
     opts = BuildOptions(**doc["options"])
-    engine = _TableEngine(doc["native"], doc["tables"], representation, opts.h0)
+    engine = _TableEngine(doc["native"], doc["tables"])
     cdoc = doc["classification"]
     classification = Classification(
         MetricClass(cdoc["metric_class"]),
@@ -717,14 +748,18 @@ def load_metric(path) -> MetricModel:
         x0=cdoc["x0"],
         ambiguous_tail=cdoc["ambiguous_tail"],
     )
-    from .profiles import CallableSource
-
-    profile = GeneratorProfile(
-        GeneratorKind.XI if representation is Representation.FROM_XI else GeneratorKind.FPP,
-        CallableSource(engine.xi_of, domain_end=float(engine.grid[-1]), label="loaded-table"),
-        name=doc.get("profile_name", "loaded"),
-    )
     tables = engine._tables
+    if representation is Representation.FROM_XI:
+        kind = GeneratorKind.XI
+        source = CallableSource(
+            engine.xi_of, domain_end=float(engine.grid[-1]), label="loaded-table"
+        )
+    elif "fpp" in tables:
+        kind = GeneratorKind.FPP
+        source = SampledSource(engine.grid, tables["fpp"])
+    else:
+        raise ValueError("metric cache of an F''-generated model has no fpp table; save it again")
+    profile = GeneratorProfile(kind, source, name=doc.get("profile_name", "loaded"))
     return MetricModel(
         n=doc["n"],
         representation=representation,

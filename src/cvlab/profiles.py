@@ -174,13 +174,10 @@ class SampledSource(ProfileSource):
                 f"sampled profile queried at t = {float(np.ravel(bad)[0]):.6g}, "
                 f"outside [{self.ts[0]:.6g}, {self.ts[-1]:.6g}]"
             )
-        out = self._interp(np.clip(t_arr, self.ts[0], self.ts[-1]))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._interp(np.clip(t_arr, self.ts[0], self.ts[-1]))
 
     def derivative(self, t):
-        t_arr = np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1])
-        out = self._deriv(t_arr)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._deriv(np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1]))
 
     def breakpoints(self):
         return self.ts

@@ -34,12 +34,21 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_segment(f, a: float, b: float, order: int = 16) -> float:
-    """Fixed-order Gauss-Legendre integral of f over [a, b]."""
-    x, w = _gl_rule(order)
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
-    return half * float(np.dot(w, f(nodes)))
+def scalar_like(t, out):
+    """``out`` as Python floats when the query ``t`` is a scalar, else as is.
+
+    The public point functions end with this.  Everything below them takes
+    arrays of any shape, 0-d included, and returns the same shape; ``out`` is
+    one such array or a tuple of them.  Internals write powers of values that
+    can be numpy scalars as ``np.power``/``np.square``: the ``**`` operator on
+    a scalar rounds through libm's pow, which differs from the array kernel
+    in the last bit.
+    """
+    if np.ndim(t) != 0:
+        return out
+    if isinstance(out, tuple):
+        return tuple(float(u) for u in out)
+    return float(out)
 
 
 class CumulativeIntegral:

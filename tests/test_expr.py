@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvlab import expr
 from cvlab.expr import (
     Binary,
     Const,
@@ -237,3 +238,15 @@ def test_derivative_agrees_with_central_difference(tree, t):
     # min1 kinks and power-law curvature limit what a central difference can
     # resolve; this is a smoke check, the closed forms above carry precision
     assert d == pytest.approx(fd, rel=1e-3, abs=1e-3 * span)
+
+
+def test_derivative_evaluates_each_node_once(monkeypatch):
+    # a sum of 401 terms is 400 operators deep; re-evaluating every subtree
+    # for its value would apply them 80 000 times
+    node = parse_expression(" + ".join(["t"] * 401))
+    applied = []
+    apply = expr._apply
+    monkeypatch.setattr(expr, "_apply", lambda *args: applied.append(1) or apply(*args))
+    ts = np.linspace(0.0, 1.0, 8)
+    assert np.array_equal(evaluate_derivative(node, ts), np.full(8, 401.0))
+    assert len(applied) == 400

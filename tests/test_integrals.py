@@ -22,7 +22,7 @@ from cvlab.integrals import (
     volume_growth_report,
     volume_ratio_limit,
 )
-from cvlab.metric import build_metric
+from cvlab.metric import build_metric, load_metric, save_metric
 from cvlab.quadrature import QuadratureError
 
 
@@ -219,6 +219,14 @@ def test_ibp_rejects_order_outside_mixed_range(poly05_n2):
 def test_ibp_rejects_saturated_profile(s3_n2):
     with pytest.raises(ValueError, match="xi < 1"):
         mixed_curvature_ibp(s3_n2, 1)
+
+
+@pytest.mark.parametrize("fixture", ["poly05_n2", "lp_model"])
+def test_ibp_refuses_a_model_loaded_from_tables(fixture, request, tmp_path):
+    path = tmp_path / "model.json"
+    save_metric(request.getfixturevalue(fixture), path)
+    with pytest.raises(ValueError, match="saved tables"):
+        mixed_curvature_ibp(load_metric(path), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cvlab.families import polynomial_xi, step_profile, smooth_step_profile
+from cvlab.curvature import abc_at_r, abc_at_x, abc_native
+from cvlab.expr import evaluate_derivative, parse_expression
+from cvlab.families import polynomial_xi, step_profile, smooth_step_profile, yau_counterexample
+from cvlab.integrals import distance_s, volume_ball
 from cvlab.metric import (
     BuildOptions,
     MetricClass,
@@ -288,9 +291,60 @@ def test_save_load_round_trip(tmp_path, poly05_n2):
     assert np.allclose(C0, C1, rtol=1e-4, atol=1e-12)
 
 
+def test_loaded_fpp_profile_is_the_saved_generator(tmp_path):
+    m = yau_counterexample(3, 2, l_max=16)
+    path = tmp_path / "model.json"
+    save_metric(m, path)
+    loaded = load_metric(path)
+    assert loaded.profile.kind is GeneratorKind.FPP
+    assert np.array_equal(loaded.profile.source(loaded.native), m.engine.fpp_of(m.native))
+    # x = 2.1 lies on the plateau of the l = 2 step, where F'' = l = 2
+    assert loaded.profile.source(2.1) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_save_is_atomic(tmp_path, poly05_n2):
     target = tmp_path / "sub" / "model.json"
     with pytest.raises(OSError):
         save_metric(poly05_n2, target)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# scalar contract of the public point functions
+
+
+def _assert_scalar_contract(fn, points):
+    """A 1-d array gives arrays of its shape; each float gives Python floats."""
+    vec = fn(points)
+    parts = vec if isinstance(vec, tuple) else (vec,)
+    for part in parts:
+        assert isinstance(part, np.ndarray) and part.shape == points.shape
+    for i, q in enumerate(points):
+        one = fn(float(q))
+        ones = one if isinstance(one, tuple) else (one,)
+        assert len(ones) == len(parts)
+        for u, part in zip(ones, parts):
+            assert type(u) is float
+            assert u == pytest.approx(part[i], rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["poly05_n2", "lp_model"])
+def test_point_functions_scalar_contract(fixture, request):
+    m = request.getfixturevalue(fixture)
+    idx = [100, 1000, 2000]
+    r, x, s = m.r[idx], m.x[idx], m.s[idx]
+    _assert_scalar_contract(lambda t: abc_native(m, t), m.native[idx])
+    _assert_scalar_contract(lambda q: abc_at_r(m, q), r)
+    _assert_scalar_contract(lambda q: abc_at_x(m, q), x)
+    _assert_scalar_contract(lambda q: distance_s(m, r=q), r)
+    _assert_scalar_contract(lambda q: distance_s(m, x=q), x)
+    _assert_scalar_contract(lambda q: volume_ball(m, q), s)
+    _assert_scalar_contract(m.radius_from_s, s)
+
+
+def test_conversions_scalar_contract():
+    _assert_scalar_contract(fprime_from_xi, np.array([0.0, 0.3, 0.9]))
+    _assert_scalar_contract(xi_from_fprime, np.array([0.0, 1.0, 40.0]))
+    node = parse_expression("t / (1 + t) + exp(-t)")
+    _assert_scalar_contract(lambda t: evaluate_derivative(node, t), np.array([0.0, 0.5, 7.0]))
