@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Dump a fixed set of cvlab outputs, or compare two dumps bit for bit.
+
+    python3 scripts/fingerprint.py OUT.npz
+    python3 scripts/fingerprint.py --compare A.npz B.npz
+
+The dump covers seven models (poly n=2 rational, poly n=3 exponential, s3,
+flat, yau n=3 and lp n=2 with l_max 32, and the h-kind (1 + t)^-0.5): the
+model tables; each engine method at 50 points, once as one array query and
+once as 50 scalar queries; every sigma, Chern, L^p and scalar series;
+``chern_number`` and the IBP identity; ``abc_at_r``/``abc_at_x``,
+``distance_s``, ``radius_from_s`` and ``volume_ball`` as arrays and as
+scalars; ``average_scalar_curvature`` at three radii; and
+``curvature_table``.  A call that raises is recorded as its exception type.
+
+``--compare`` lists every key that is missing from one dump or not
+``np.array_equal`` between them, and exits 1 if there is any.  The script
+uses only long-standing public API and engine methods, so the same file
+fingerprints an older checkout too:
+
+    PYTHONPATH=<old checkout>/src python3 scripts/fingerprint.py old.npz
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from cvlab import (
+    ClosedFormSource,
+    GeneratorKind,
+    GeneratorProfile,
+    build_metric,
+    flat_metric,
+    lp_counterexample,
+    polynomial_xi,
+    s3_metric,
+    yau_counterexample,
+)
+from cvlab.curvature import abc_at_r, abc_at_x, curvature_table
+from cvlab.integrals import (
+    average_scalar_curvature,
+    average_scalar_series,
+    chern_number,
+    distance_s,
+    lp_curvature_series,
+    mixed_curvature_ibp,
+    normalized_chern_series,
+    normalized_sigma_series,
+    volume_ball,
+)
+
+POINTS = 50
+TABLES = ("native", "r", "x", "h", "f", "xi", "v", "s")
+XI_METHODS = ("xi_of", "h_of", "v_of", "f_of", "s_of", "r_of", "x_of",
+              "vprime_of", "xi_prime_of", "abc_of")
+F_METHODS = ("fprime_of", "fpp_of", "xi_of", "v_of", "s_of", "r_of", "x_of",
+             "h_of", "f_of", "vprime_of", "abc_of")
+
+
+def models():
+    h_kind = GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5"), name="h-kind")
+    return {
+        "poly2": lambda: build_metric(polynomial_xi(0.5), 2),
+        "poly3exp": lambda: build_metric(polynomial_xi(0.5, "exponential"), 3),
+        "s3": lambda: s3_metric(2, r0=1.0),
+        "flat": lambda: flat_metric(2),
+        "yau3": lambda: yau_counterexample(3, 2, l_max=32),
+        "lp2": lambda: lp_counterexample(2, l_max=32),
+        "hkind": lambda: build_metric(h_kind, 2),
+    }
+
+
+def _span(table):
+    """50 log-spaced points from the first positive entry to the last."""
+    table = np.asarray(table, dtype=float)
+    return np.geomspace(table[table > 0][0], table[-1], POINTS)
+
+
+def _record(out, key, fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the failure itself is part of the fingerprint
+        out[key + "!error"] = np.array(type(exc).__name__)
+        return
+    parts = value if isinstance(value, tuple) else (value,)
+    for i, part in enumerate(parts):
+        out[key if len(parts) == 1 else f"{key}[{i}]"] = np.asarray(part, dtype=float)
+
+
+def _array_and_scalars(out, key, fn, points):
+    _record(out, key + ".array", fn, points)
+
+    def one_by_one(pts):
+        rows = [fn(float(p)) for p in pts]
+        if isinstance(rows[0], tuple):
+            return tuple(np.array(col) for col in zip(*rows))
+        return np.array(rows)
+
+    _record(out, key + ".scalar", one_by_one, points)
+
+
+def fingerprint(name, model, out):
+    for table in TABLES:
+        out[f"{name}.table.{table}"] = np.asarray(getattr(model, table), dtype=float)
+    eng = model.engine
+    native_pts = _span(model.native)
+    methods = XI_METHODS if model.representation.value == "from_xi" else F_METHODS
+    for method in methods:
+        _array_and_scalars(out, f"{name}.engine.{method}", getattr(eng, method), native_pts)
+
+    n = model.n
+    for k in range(1, n + 1):
+        _record(out, f"{name}.sigma{k}", lambda: normalized_sigma_series(model, k).normalized)
+        _record(out, f"{name}.chern{k}", lambda: normalized_chern_series(model, k).normalized)
+    _record(out, f"{name}.lp", lambda: lp_curvature_series(model, 2.37).normalized)
+    _record(out, f"{name}.scalar", lambda: average_scalar_series(model).normalized)
+    _record(out, f"{name}.chern_number",
+            lambda: tuple(getattr(chern_number(model), f) for f in
+                          ("value", "numeric", "tail", "identity_residual")))
+    for k in range(1, n):
+        _record(out, f"{name}.ibp{k}",
+                lambda: (lambda c: (c.direct, c.by_parts))(mixed_curvature_ibp(model, k)))
+
+    r_pts, x_pts, s_pts = _span(model.r), _span(model.x), _span(model.s)
+    _array_and_scalars(out, f"{name}.abc_at_r", lambda r: abc_at_r(model, r), r_pts)
+    _array_and_scalars(out, f"{name}.abc_at_x", lambda x: abc_at_x(model, x), x_pts)
+    _array_and_scalars(out, f"{name}.distance_s.r", lambda r: distance_s(model, r=r), r_pts)
+    _array_and_scalars(out, f"{name}.distance_s.x", lambda x: distance_s(model, x=x), x_pts)
+    _array_and_scalars(out, f"{name}.radius_from_s", model.radius_from_s, s_pts)
+    _array_and_scalars(out, f"{name}.volume_ball", lambda s: volume_ball(model, s), s_pts)
+    for i, s in enumerate(np.geomspace(s_pts[0], s_pts[-1], 5)[1:4]):
+        _record(out, f"{name}.avg_scalar{i}", average_scalar_curvature, model, float(s))
+    table = curvature_table(model, rows=64)
+    for col, values in table.items():
+        out[f"{name}.curvature_table.{col}"] = np.asarray(values, dtype=float)
+
+
+def dump(path):
+    out = {}
+    for name, make in models().items():
+        fingerprint(name, make(), out)
+        print(f"{name}: done", file=sys.stderr)
+    np.savez(path, **out)
+    print(f"{len(out)} arrays -> {path}")
+
+
+def _same(u, v):
+    """Bit-for-bit agreement up to the sign of zero; NaN matches NaN."""
+    floats = u.dtype.kind == "f" and v.dtype.kind == "f"
+    return np.array_equal(u, v, equal_nan=floats)
+
+
+def compare(path_a, path_b):
+    a, b = np.load(path_a), np.load(path_b)
+    differ = sorted(set(a.files) ^ set(b.files))
+    differ += [k for k in sorted(set(a.files) & set(b.files)) if not _same(a[k], b[k])]
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(set(a.files) | set(b.files))} keys, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", nargs="?", help="write the dump here (.npz)")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps")
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        p.error("give OUT.npz or --compare A B")
+    dump(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

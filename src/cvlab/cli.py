@@ -299,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="build a metric and print its classification")
     _add_selection(p)
-    p.add_argument("--out", help="write the classification (or model cache) as JSON")
-    p.add_argument("--save-model", action="store_true", help="write a full model cache to --out")
+    p.add_argument("--out", help="write the classification (or the saved model) as JSON")
+    p.add_argument("--save-model", action="store_true",
+                   help="write what builds the model (generator, n, options) to --out")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("curvature-table", help="export pointwise curvature components")

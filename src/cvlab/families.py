@@ -15,7 +15,7 @@ diverge while total mass stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,6 +88,14 @@ class _StepSourceBase(ProfileSource):
     def _index(self, t: np.ndarray) -> np.ndarray:
         # at most one step can contribute at any t (steps are disjoint)
         return np.clip(np.searchsorted(self.a, t, side="right") - 1, 0, len(self.a) - 1)
+
+    def spec(self):
+        return {"family": asdict(self.family)}
+
+    @classmethod
+    def from_spec(cls, spec):
+        spec = dict(spec)
+        return cls(StepFamily(**spec.pop("family")), **spec)
 
 
 class RawStepSource(_StepSourceBase):
@@ -175,6 +183,9 @@ class SmoothStepSource(_StepSourceBase):
     def total_mass(self):
         return float(self.cmass[-1])
 
+    def spec(self):
+        return {**super().spec(), "factor": self.factor}
+
     def refinement_nodes(self, per_feature: int = 64):
         per_plateau = max(8, per_feature // 4)
         chunks = []
@@ -219,6 +230,9 @@ class SaturationRampSource(ProfileSource):
 
     def refinement_nodes(self, per_feature: int = 64):
         return np.linspace(0.5 * self.r0, self.r0, 4 * per_feature + 1)
+
+    def spec(self):
+        return {"r0": self.r0}
 
     def __repr__(self):
         return f"SaturationRampSource(r0={self.r0:g})"

@@ -314,11 +314,6 @@ def mixed_curvature_ibp(model: MetricModel, k: int, t_end: float | None = None) 
     n = model.n
     if not 1 <= k < n:
         raise ValueError("the mixed comparison needs 1 <= k < n")
-    if model.from_tables:
-        raise ValueError(
-            "the identity integrates the generator's derivatives, which a model loaded "
-            "from saved tables does not have; rebuild the model from its profile"
-        )
     end = float(t_end) if t_end is not None else float(model.native[-1])
     eng = model.engine
     v_end = float(eng.v_of(end))

@@ -26,13 +26,14 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, partialmethod
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .families import RawStepSource, SaturationRampSource, SmoothStepSource
 from .profiles import (
-    CallableSource,
+    ClosedFormSource,
     FamilySpec,
     GeneratorKind,
     GeneratorProfile,
@@ -45,7 +46,6 @@ from .quadrature import (
     CumulativeIntegral,
     derivative_fd,
     extrapolate_limit,
-    grid_derivative,
     scalar_like,
     stencil_derivative,
 )
@@ -193,9 +193,6 @@ class _XiEngine:
     def v_of(self, t):
         return self._v(t)
 
-    def w_of(self, t):
-        return self._w(t)
-
     def f_of(self, t):
         t = np.asarray(t, dtype=float)
         return np.divide(self._v(t), t, out=np.full_like(t, self.h0), where=t > 0)
@@ -294,9 +291,6 @@ class _FEngine:
         sq = np.hypot(1.0, fp)
         return fp * fp / (sq * (1.0 + sq))
 
-    def w_of(self, t):
-        return self._w(t)
-
     def v_of(self, t):
         t_arr = np.asarray(t, dtype=float)
         return t_arr * t_arr + self._w(t_arr)
@@ -359,7 +353,8 @@ class _LogLogInverse:
     def __init__(self, values: np.ndarray, native: np.ndarray):
         pos = (values > 0) & (native > 0)
         lq, lt = np.log(values[pos]), np.log(native[pos])
-        keep = np.concatenate(([True], np.diff(lq) > 0))
+        # strictly above every earlier point: a saturated x table only jitters
+        keep = np.concatenate(([True], lq[1:] > np.maximum.accumulate(lq)[:-1]))
         self._pchip = PchipInterpolator(lq[keep], lt[keep], extrapolate=False)
 
     def __call__(self, q):
@@ -400,11 +395,6 @@ class MetricModel:
     def native_end(self) -> float:
         return float(self.engine.grid[-1])
 
-    @property
-    def from_tables(self) -> bool:
-        """True for a model loaded from saved tables: it has no generator left."""
-        return isinstance(self.engine, _TableEngine)
-
     @cached_property
     def _s_inverse(self) -> _LogLogInverse:
         return _LogLogInverse(self.s, self.native)
@@ -443,6 +433,9 @@ class MetricModel:
         """Native radius at transverse radius x (x^2 = r*h), polished like r."""
         if self.representation is Representation.FROM_F:
             return np.asarray(x, dtype=float)
+        if np.any(np.asarray(x, dtype=float) > self.x[-1] * (1 + 1e-9)):
+            # past saturation no radius has this x
+            raise ValueError(f"transverse radius beyond the tabulated x <= {self.x[-1]:.6g}")
         lx, t = self._x_inverse(x)
 
         # x(t) = sqrt(t h), d ln x / d ln t = (1 - xi)/2; skip the correction
@@ -497,10 +490,11 @@ class MetricModel:
             "grid_nodes": len(self.native),
             "native_end": self.native_end,
             "s_end": float(self.s[-1]),
+            "options": asdict(self.options),
         }
 
 
-def _classify(engine, profile: GeneratorProfile, grid, xi, opts) -> Classification:
+def _classify(engine, profile: GeneratorProfile, grid, xi) -> Classification:
     sup_xi = float(np.max(xi))
     if sup_xi <= FLAT_TOL:
         return Classification(MetricClass.FLAT, 0.0, VolumeGrowth.EUCLIDEAN)
@@ -562,7 +556,7 @@ def build_metric(profile, n: int, options: BuildOptions | None = None) -> Metric
 
     grid = engine.grid
     xi = engine.xi_of(grid)
-    classification = _classify(engine, profile, grid, xi, opts)
+    classification = _classify(engine, profile, grid, xi)
     return MetricModel(
         n=int(n),
         representation=engine.representation,
@@ -656,34 +650,33 @@ def h_to_f(h_values, grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization (schema 1)
+# serialization (schema 2): the recipe, not the tables
+
+_SAVEABLE_SOURCES = {
+    cls.__name__: cls
+    for cls in (
+        ClosedFormSource,
+        SampledSource,
+        RawStepSource,
+        SmoothStepSource,
+        SaturationRampSource,
+    )
+}
 
 
 def save_metric(model: MetricModel, path) -> None:
-    grid = model.native
-    tables = {
-        "r": model.r.tolist(),
-        "x": model.x.tolist(),
-        "h": model.h.tolist(),
-        "f": model.f.tolist(),
-        "xi": model.xi.tolist(),
-        "v": model.v.tolist(),
-        "s": model.s.tolist(),
-        "w": model.engine.w_of(grid).tolist(),
-        "vprime": model.engine.vprime_of(grid).tolist(),
-    }
-    if model.representation is Representation.FROM_F:
-        # the generator itself, so a loaded model's profile is F'' and not xi
-        tables["fpp"] = np.asarray(eval_profile(model.profile, grid), dtype=float).tolist()
+    """Write what builds the model: generator profile, n and build options."""
+    profile = model.profile
     doc = {
-        "schema": 1,
+        "schema": 2,
         "n": model.n,
-        "representation": model.representation.value,
-        "profile_name": model.profile.name,
         "options": asdict(model.options),
-        "classification": model.classification.as_dict(),
-        "native": grid.tolist(),
-        "tables": tables,
+        "profile": {
+            "kind": profile.kind.value,
+            "name": profile.name,
+            "source": type(profile.source).__name__,
+            "spec": profile.source.spec(),
+        },
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
@@ -692,86 +685,23 @@ def save_metric(model: MetricModel, path) -> None:
     os.replace(tmp, path)
 
 
-class _TableEngine:
-    """Engine reconstructed from saved tables; interpolated, reduced fidelity."""
-
-    def __init__(self, native, tables):
-        self.grid = np.asarray(native, dtype=float)
-        self._tables = {k: np.asarray(v, dtype=float) for k, v in tables.items()}
-        # d(xi)/dr regardless of the native coordinate
-        self._tables["dxi_dr"] = grid_derivative(self._tables["xi"], self._tables["r"])
-        self._interp = {}
-
-    def _at(self, key, t):
-        if key not in self._interp:
-            self._interp[key] = PchipInterpolator(self.grid, self._tables[key], extrapolate=False)
-        return self._interp[key](np.clip(np.asarray(t, dtype=float), self.grid[0], self.grid[-1]))
-
-    xi_of = partialmethod(_at, "xi")
-    h_of = partialmethod(_at, "h")
-    f_of = partialmethod(_at, "f")
-    v_of = partialmethod(_at, "v")
-    w_of = partialmethod(_at, "w")
-    s_of = partialmethod(_at, "s")
-    r_of = partialmethod(_at, "r")
-    x_of = partialmethod(_at, "x")
-    vprime_of = partialmethod(_at, "vprime")
-
-    def abc_of(self, t):
-        A = self._at("dxi_dr", t) / self._at("h", t)
-        v, w, xi = self._at("v", t), self._at("w", t), self._at("xi", t)
-        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
-            B = np.where(v > 0, (xi * v - w) / v**2, 0.5 * A)
-            C = np.where(v > 0, 2.0 * w / v**2, A)
-        return A, B, C
-
-    @property
-    def breakpoints_native(self):
-        return np.empty(0)
-
-
 def load_metric(path) -> MetricModel:
+    """Rebuild a saved model; bit-identical to it on the same numpy/scipy build."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported metric cache schema {doc.get('schema')!r}")
-    representation = Representation(doc["representation"])
-    doc["options"].pop("gl_order", None)  # written before the Gauss order was fixed at 8
-    opts = BuildOptions(**doc["options"])
-    engine = _TableEngine(doc["native"], doc["tables"])
-    cdoc = doc["classification"]
-    classification = Classification(
-        MetricClass(cdoc["metric_class"]),
-        cdoc["xi_infinity"],
-        VolumeGrowth(cdoc["volume_growth"]),
-        r0=cdoc["r0"],
-        x0=cdoc["x0"],
-        ambiguous_tail=cdoc["ambiguous_tail"],
-    )
-    tables = engine._tables
-    if representation is Representation.FROM_XI:
-        kind = GeneratorKind.XI
-        source = CallableSource(
-            engine.xi_of, domain_end=float(engine.grid[-1]), label="loaded-table"
+    schema = doc.get("schema")
+    if schema == 1:
+        raise ValueError(
+            f"{path} is a schema-1 model file: it held interpolated tables, "
+            "not the generator; build the model and save it again"
         )
-    elif "fpp" in tables:
-        kind = GeneratorKind.FPP
-        source = SampledSource(engine.grid, tables["fpp"])
-    else:
-        raise ValueError("metric cache of an F''-generated model has no fpp table; save it again")
-    profile = GeneratorProfile(kind, source, name=doc.get("profile_name", "loaded"))
-    return MetricModel(
-        n=doc["n"],
-        representation=representation,
-        profile=profile,
-        options=opts,
-        classification=classification,
-        engine=engine,
-        r=tables["r"],
-        x=tables["x"],
-        h=tables["h"],
-        f=tables["f"],
-        xi=tables["xi"],
-        v=tables["v"],
-        s=tables["s"],
+    if schema != 2:
+        raise ValueError(f"unsupported model file schema {schema!r}")
+    spec = doc["profile"]
+    source_type = _SAVEABLE_SOURCES.get(spec["source"])
+    if source_type is None:
+        raise ValueError(f"unknown profile source type {spec['source']!r} in {path}")
+    profile = GeneratorProfile(
+        GeneratorKind(spec["kind"]), source_type.from_spec(spec["spec"]), name=spec["name"]
     )
+    return build_metric(profile, doc["n"], BuildOptions(**doc["options"]))

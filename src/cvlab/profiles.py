@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -106,6 +105,17 @@ class ProfileSource:
         """Extra grid nodes resolving localized features."""
         return np.empty(0)
 
+    def spec(self) -> dict:
+        """JSON-ready constructor arguments, for saving a model's recipe."""
+        raise ValueError(
+            f"{type(self).__name__} cannot be saved: it has no spec() to rebuild it from"
+        )
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "ProfileSource":
+        """The source that :meth:`spec` describes."""
+        return cls(**spec)
+
 
 class ClosedFormSource(ProfileSource):
     def __init__(self, ast: Expr | str, domain_end: float = np.inf):
@@ -118,33 +128,12 @@ class ClosedFormSource(ProfileSource):
     def derivative(self, t):
         return evaluate_derivative(self.ast, t)
 
+    def spec(self):
+        # parse(to_source(ast)) gives back the same tree
+        return {"ast": to_source(self.ast), "domain_end": self.domain_end}
+
     def __repr__(self):
         return f"ClosedFormSource({to_source(self.ast)!r})"
-
-
-class CallableSource(ProfileSource):
-    """Programmatic escape hatch; used by families and tests."""
-
-    def __init__(
-        self,
-        fn: Callable,
-        derivative_fn: Callable | None = None,
-        domain_end: float = np.inf,
-        label: str = "callable",
-    ):
-        self.fn = fn
-        self.derivative_fn = derivative_fn
-        self.domain_end = float(domain_end)
-        self.label = label
-
-    def __call__(self, t):
-        return self.fn(t)
-
-    def derivative(self, t):
-        return None if self.derivative_fn is None else self.derivative_fn(t)
-
-    def __repr__(self):
-        return f"CallableSource({self.label})"
 
 
 class SampledSource(ProfileSource):
@@ -181,6 +170,10 @@ class SampledSource(ProfileSource):
 
     def breakpoints(self):
         return self.ts
+
+    def spec(self):
+        # JSON floats round-trip exactly
+        return {"ts": self.ts.tolist(), "values": self.values.tolist()}
 
     def __repr__(self):
         return f"SampledSource({len(self.ts)} samples on [0, {self.ts[-1]:g}])"

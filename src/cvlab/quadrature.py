@@ -144,38 +144,6 @@ def derivative_fd(f, t, rel_step: float = 1e-6):
     return (np.asarray(f(t_arr + h)) - np.asarray(f(t_arr - h))) / (2.0 * h)
 
 
-def grid_derivative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second-order derivative estimates on a nonuniform grid.
-
-    Three-point centered stencils inside, one-sided at the ends.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1 or y.size < 3:
-        raise ValueError("need matching 1-d arrays with at least 3 points")
-    d = np.empty_like(y)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    d[1:-1] = (
-        -hp / (hm * (hm + hp)) * y[:-2]
-        + (hp - hm) / (hm * hp) * y[1:-1]
-        + hm / (hp * (hm + hp)) * y[2:]
-    )
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    d[0] = (
-        -(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
-        + (h1 + h2) / (h1 * h2) * y[1]
-        - h1 / (h2 * (h1 + h2)) * y[2]
-    )
-    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-    d[-1] = (
-        (2 * g1 + g2) / (g1 * (g1 + g2)) * y[-1]
-        - (g1 + g2) / (g1 * g2) * y[-2]
-        + g1 / (g2 * (g1 + g2)) * y[-3]
-    )
-    return d
-
-
 def stencil_derivative(y: np.ndarray, x: np.ndarray, segments=None, width: int = 7) -> np.ndarray:
     """First derivative of a tabulated function by local polynomial stencils.
 

@@ -9,6 +9,7 @@ formulas is the point.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -243,13 +244,24 @@ def rational_v(a, r):
     return np.expm1((1.0 - a) * np.log1p(r)) / (1.0 - a)
 
 
-def rational_abc(a, r):
+def rational_abc_mp(a, r, digits=40):
+    """(A, B, C) for xi = a t/(1 + t), evaluated at ``digits`` significant digits.
+
+    B = (xi v - w)/v^2 and C = 2w/v^2 with w = v - r h cancel about eight
+    digits at r ~ 1e-8, enough to spoil a float evaluation there; forty
+    digits leave thirty.
+    """
     r = np.asarray(r, dtype=float)
-    h = rational_h(a, r)
-    v = rational_v(a, r)
-    xi = a * r / (1.0 + r)
-    w = v - r * h
-    A = a * (1.0 + r) ** (a - 2.0)
-    B = (xi * v - w) / v**2
-    C = 2.0 * w / v**2
-    return A, B, C
+    out = np.empty((3,) + r.shape)
+    with mpmath.workdps(digits):
+        a_mp = mpmath.mpf(a)
+        for i, t in enumerate(r.ravel()):
+            t = mpmath.mpf(t)
+            h = (1 + t) ** -a_mp
+            v = mpmath.log1p(t) if a == 1.0 else ((1 + t) ** (1 - a_mp) - 1) / (1 - a_mp)
+            w = v - t * h
+            xi = a_mp * t / (1 + t)
+            abc = (a_mp * (1 + t) ** (a_mp - 2), (xi * v - w) / v**2, 2 * w / v**2)
+            for j, value in enumerate(abc):
+                out[j].flat[i] = float(value)
+    return tuple(out)

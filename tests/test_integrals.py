@@ -22,7 +22,7 @@ from cvlab.integrals import (
     volume_growth_report,
     volume_ratio_limit,
 )
-from cvlab.metric import build_metric, load_metric, save_metric
+from cvlab.metric import build_metric
 from cvlab.quadrature import QuadratureError
 
 
@@ -48,6 +48,18 @@ def test_distance_s_r_and_x_name_the_same_sphere(poly05_n2):
     assert distance_s(poly05_n2, x=x) == pytest.approx(
         distance_s(poly05_n2, r=r), rel=1e-9
     )
+
+
+def test_distance_s_from_x_below_saturation(s3_n2):
+    x0 = s3_n2.classification.x0
+    for frac in (0.1, 0.5, 0.99):
+        x = frac * x0
+        t = float(s3_n2.native_from_x(x))
+        assert abs(float(s3_n2.engine.x_of(t)) / x - 1.0) <= 4.4e-16
+        assert distance_s(s3_n2, x=x) == distance_s(s3_n2, r=t)
+    # past saturation no radius has this x
+    with pytest.raises(ValueError, match="beyond the tabulated x"):
+        distance_s(s3_n2, x=2.0 * x0)
 
 
 def test_volume_ball_flat_is_euclidean(flat_n2):
@@ -219,14 +231,6 @@ def test_ibp_rejects_order_outside_mixed_range(poly05_n2):
 def test_ibp_rejects_saturated_profile(s3_n2):
     with pytest.raises(ValueError, match="xi < 1"):
         mixed_curvature_ibp(s3_n2, 1)
-
-
-@pytest.mark.parametrize("fixture", ["poly05_n2", "lp_model"])
-def test_ibp_refuses_a_model_loaded_from_tables(fixture, request, tmp_path):
-    path = tmp_path / "model.json"
-    save_metric(request.getfixturevalue(fixture), path)
-    with pytest.raises(ValueError, match="saved tables"):
-        mixed_curvature_ibp(load_metric(path), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +10,22 @@ from scipy.integrate import quad
 
 from cvlab.curvature import abc_at_r, abc_at_x, abc_native
 from cvlab.expr import evaluate_derivative, parse_expression
-from cvlab.families import polynomial_xi, step_profile, smooth_step_profile, yau_counterexample
-from cvlab.integrals import distance_s, volume_ball
+from cvlab.families import (
+    flat_metric,
+    lp_counterexample,
+    polynomial_xi,
+    s3_metric,
+    smooth_step_profile,
+    step_profile,
+    yau_counterexample,
+)
+from cvlab.integrals import (
+    chern_number,
+    distance_s,
+    mixed_curvature_ibp,
+    normalized_sigma_series,
+    volume_ball,
+)
 from cvlab.metric import (
     BuildOptions,
     MetricClass,
@@ -31,9 +47,11 @@ from cvlab.profiles import (
     GeneratorKind,
     GeneratorProfile,
     ProfileError,
+    ProfileSource,
+    SampledSource,
 )
 
-from _oracles import rational_abc, rational_h, rational_v
+from _oracles import rational_h, rational_v
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,10 @@ def test_describe_contains_the_essentials(poly05_n2):
     assert d["n"] == 2
     assert d["classification"]["metric_class"] == "S1"
     assert d["grid_nodes"] == len(poly05_n2.native)
+    # the grid, spans and tolerance behind every number, as JSON
+    assert d["options"] == asdict(poly05_n2.options)
+    assert d["options"]["grid_size"] == 4096 and d["options"]["quad_rel_tol"] == 1e-8
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_build_options_from_env(monkeypatch):
@@ -280,15 +302,84 @@ def test_save_load_round_trip(tmp_path, poly05_n2):
     loaded = load_metric(path)
     assert loaded.n == poly05_n2.n
     assert classify(loaded).metric_class is MetricClass.S1
-    assert np.allclose(loaded.v, poly05_n2.v, rtol=1e-12)
+    assert np.array_equal(loaded.v, poly05_n2.v)
     probes = np.geomspace(1e-2, 1e6, 30)
-    from cvlab.curvature import abc_at_r
+    for built, back in zip(abc_at_r(poly05_n2, probes), abc_at_r(loaded, probes)):
+        assert np.array_equal(built, back)
 
-    A0, B0, C0 = abc_at_r(poly05_n2, probes)
-    A1, B1, C1 = abc_at_r(loaded, probes)
-    assert np.allclose(A0, A1, rtol=1e-4, atol=1e-12)
-    assert np.allclose(B0, B1, rtol=1e-4, atol=1e-12)
-    assert np.allclose(C0, C1, rtol=1e-4, atol=1e-12)
+
+_SAMPLES = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 199)))
+
+ROUND_TRIP_MODELS = {
+    "poly2": lambda: build_metric(polynomial_xi(0.5), 2),
+    "poly3exp": lambda: build_metric(polynomial_xi(0.5, "exponential"), 3),
+    "s3": lambda: s3_metric(2, r0=1.0),
+    "flat": lambda: flat_metric(2),
+    "yau3": lambda: yau_counterexample(3, 2, l_max=32),
+    "lp2": lambda: lp_counterexample(2, l_max=32),
+    "hkind": lambda: build_metric(
+        GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5")), 2
+    ),
+    "sampled": lambda: build_metric(
+        GeneratorProfile(
+            GeneratorKind.XI, SampledSource(_SAMPLES, 0.5 * _SAMPLES / (1.0 + _SAMPLES))
+        ),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_MODELS))
+def test_save_load_is_bit_identical(name, tmp_path):
+    built = ROUND_TRIP_MODELS[name]()
+    path = tmp_path / "model.json"
+    save_metric(built, path)
+    loaded = load_metric(path)
+    assert loaded.describe() == built.describe()
+    for table in ("r", "x", "h", "f", "xi", "v", "s"):
+        assert np.array_equal(getattr(loaded, table), getattr(built, table)), table
+    n = built.n
+    series = [normalized_sigma_series(m, n) for m in (loaded, built)]
+    assert np.array_equal(series[0].integral, series[1].integral)
+    assert chern_number(loaded) == chern_number(built)
+    for back, orig in zip(abc_native(loaded, built.native), abc_native(built, built.native)):
+        assert np.array_equal(back, orig)
+    if np.max(built.xi) < 1.0 - 1e-12:
+        for k in range(1, n):
+            assert mixed_curvature_ibp(loaded, k) == mixed_curvature_ibp(built, k)
+
+
+class _HandWrittenXi(ProfileSource):
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * t / (1.0 + t)
+
+
+def test_save_refuses_a_source_it_cannot_rebuild(tmp_path):
+    profile = GeneratorProfile(GeneratorKind.XI, _HandWrittenXi())
+    m = build_metric(profile, 2, BuildOptions(grid_size=256))
+    with pytest.raises(ValueError, match="_HandWrittenXi cannot be saved"):
+        save_metric(m, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(schema=1), "schema-1 model file"),
+        (lambda doc: doc.update(schema=3), "unsupported model file schema 3"),
+        (lambda doc: doc["profile"].update(source="NoSuchSource"), "unknown profile source"),
+    ],
+    ids=["schema-1", "schema-3", "unknown-source"],
+)
+def test_load_refuses_what_it_cannot_rebuild(edit, message, tmp_path, poly05_n2):
+    path = tmp_path / "model.json"
+    save_metric(poly05_n2, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_metric(path)
 
 
 def test_loaded_fpp_profile_is_the_saved_generator(tmp_path):
