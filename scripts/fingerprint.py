@@ -14,7 +14,8 @@ scalars; ``average_scalar_curvature`` at three radii; and
 ``curvature_table``.  A call that raises is recorded as its exception type.
 
 ``--compare`` lists every key that is missing from one dump or not
-``np.array_equal`` between them, and exits 1 if there is any.  The script
+``np.array_equal`` between them, with the largest relative gap of each
+differing float key and of all of them, and exits 1 if there is any.  The script
 uses only long-standing public API and engine methods, so the same file
 fingerprints an older checkout too:
 
@@ -151,13 +152,31 @@ def _same(u, v):
     return np.array_equal(u, v, equal_nan=floats)
 
 
+def _rel_gap(u, v):
+    """Largest |u - v| / max(|u|, |v|) over the entries (inf where one side is
+    NaN or infinite alone), or None for keys that are not float arrays of one shape."""
+    if u.dtype.kind != "f" or v.dtype.kind != "f" or u.shape != v.shape:
+        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.abs(u - v) / np.maximum(np.abs(u), np.abs(v))
+    same = (u == v) | (np.isnan(u) & np.isnan(v))
+    return float(np.max(np.where(same, 0.0, np.nan_to_num(gap, nan=np.inf)), initial=0.0))
+
+
 def compare(path_a, path_b):
     a, b = np.load(path_a), np.load(path_b)
     differ = sorted(set(a.files) ^ set(b.files))
     differ += [k for k in sorted(set(a.files) & set(b.files)) if not _same(a[k], b[k])]
+    worst = 0.0
     for key in differ:
-        print(f"differs: {key}")
-    print(f"{len(set(a.files) | set(b.files))} keys, {len(differ)} differ")
+        gap = _rel_gap(a[key], b[key]) if key in a.files and key in b.files else None
+        if gap is None:
+            print(f"differs: {key}")
+        else:
+            worst = max(worst, gap)
+            print(f"differs: {key}  max rel gap {gap:.3g}")
+    print(f"{len(set(a.files) | set(b.files))} keys, {len(differ)} differ, "
+          f"max rel gap {worst:.3g}")
     return 1 if differ else 0
 
 

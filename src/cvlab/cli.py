@@ -42,6 +42,7 @@ from .profiles import (
     ProfileError,
     ProfileFileError,
     load_profile,
+    parse_scalar,
     validate,
 )
 from .quadrature import QuadratureError
@@ -77,11 +78,7 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ProfileError(f"--param needs KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
-        try:
-            num = float(value)
-            out[key.strip()] = int(num) if num == int(num) and "." not in value else num
-        except ValueError:
-            out[key.strip()] = value.strip()
+        out[key.strip()] = parse_scalar(value.strip())
     return out
 
 
@@ -346,7 +343,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: int(inf), say l_max=inf
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

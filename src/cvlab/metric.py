@@ -122,17 +122,18 @@ class BuildOptions:
 
 def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
     lo = min(1e-8, end * 1e-10)
-    pieces = [np.array([0.0]), np.geomspace(lo, end, opts.grid_size)]
     bps = np.asarray(source.breakpoints(), dtype=float)
-    if bps.size:
-        pieces.append(bps[(bps > 0) & (bps <= end)])
     ref = np.asarray(source.refinement_nodes(opts.nodes_per_feature), dtype=float)
-    if ref.size:
-        pieces.append(ref[(ref > 0) & (ref <= end)])
-    grid = np.unique(np.concatenate(pieces))
-    # prune near-duplicates so no quadrature cell degenerates
-    keep = np.concatenate(([True], np.diff(grid) > 1e-14 * np.maximum(grid[1:], 1e-300)))
-    return grid[keep]
+    grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, opts.grid_size), bps, ref)))
+    grid = grid[(grid >= 0.0) & (grid <= end)]
+    # prune near-duplicates so no quadrature cell degenerates; a breakpoint is
+    # a kink and never goes, its near neighbour does
+    close = np.diff(grid) <= 1e-14 * grid[1:]
+    fixed = np.isin(grid, bps)
+    drop = np.zeros(grid.size, dtype=bool)
+    drop[1:] = close & ~fixed[1:]
+    drop[:-1] |= close & fixed[1:] & ~fixed[:-1]
+    return grid[~drop]
 
 
 class _XiEngine:
@@ -613,40 +614,6 @@ def xi_from_fprime(fprime):
         raise ValueError("xi_from_fprime needs F' >= 0")
     sq = np.hypot(1.0, fp)
     return scalar_like(fprime, fp * fp / (sq * (1.0 + sq)))
-
-
-def xi_to_h(xi_profile, h0: float = 1.0, grid=None) -> np.ndarray:
-    """Tabulate h on a grid from a xi profile: h = h0 exp(-int xi/t dt)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("need a 1-d grid with at least two points")
-    if callable(xi_profile) and not isinstance(xi_profile, GeneratorProfile):
-        fn = lambda t: np.asarray(xi_profile(t), dtype=float)
-    else:
-        fn = lambda t: np.asarray(eval_profile(xi_profile, t), dtype=float)
-    work = grid if grid[0] == 0.0 else np.concatenate(([0.0], grid))
-    cum = CumulativeIntegral(lambda t: fn(t) / t, work)
-    return h0 * np.exp(-cum(grid))
-
-
-def h_to_f(h_values, grid) -> np.ndarray:
-    """Average h on a grid: f(r) = (1/r) int_0^r h; f(0) = h(0)."""
-    grid = np.asarray(grid, dtype=float)
-    if callable(h_values):
-        fn = h_values
-    else:
-        h_arr = np.asarray(h_values, dtype=float)
-        if h_arr.shape != grid.shape:
-            raise ValueError("h table and grid must have matching shapes")
-        fn = PchipInterpolator(grid, h_arr)
-    work = grid if grid[0] == 0.0 else np.concatenate(([0.0], grid))
-    cum = CumulativeIntegral(lambda t: np.asarray(fn(t), dtype=float), work)
-    out = np.empty_like(grid)
-    pos = grid > 0
-    out[pos] = cum(grid[pos]) / grid[pos]
-    if np.any(~pos):
-        out[~pos] = np.asarray(fn(np.array([0.0])), dtype=float)[0]
-    return out
 
 
 # ---------------------------------------------------------------------------

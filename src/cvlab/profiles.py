@@ -351,12 +351,14 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _parse_scalar(text: str):
-    try:
-        as_float = float(text)
-    except ValueError:
-        return text
-    return int(as_float) if as_float == int(as_float) and "." not in text and "e" not in text.lower() else as_float
+def parse_scalar(text: str):
+    """``text`` as an int, else as a float (``1e2``, ``inf``, ``nan``), else as is."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def load_profile(path) -> GeneratorProfile | FamilySpec:
@@ -396,7 +398,7 @@ def load_profile(path) -> GeneratorProfile | FamilySpec:
         if "family" not in entries:
             raise ProfileFileError(path, lines["kind"], "kind = family requires 'family ='")
         family = entries.pop("family").lower()
-        return FamilySpec(family, {k: _parse_scalar(v) for k, v in entries.items()})
+        return FamilySpec(family, {k: parse_scalar(v) for k, v in entries.items()})
 
     try:
         kind = GeneratorKind(kind_text)

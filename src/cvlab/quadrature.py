@@ -1,12 +1,14 @@
 """Quadrature and finite-difference helpers shared by the metric machinery.
 
 Radial quantities (h, f, s, v, ...) are cumulative integrals of smooth or
-piecewise-smooth integrands over a fixed master grid.  The strategy here is
-fixed-order Gauss-Legendre per grid cell with cached cell sums, which makes
-the cumulative function cheaply evaluable at arbitrary interior points: look
-up the cell, add a partial Gauss segment from the cell edge.  Cells never
-place nodes on the boundary, so integrands with removable endpoint behaviour
-(e.g. xi(t)/t at t=0) are safe as long as the grid starts at the endpoint.
+piecewise-smooth integrands over a fixed master grid.  A table calls its
+integrand once, at fixed-order Gauss-Legendre nodes in each grid cell, and
+keeps data only: the cumulative value at every node and, per cell, the
+Legendre coefficients of the antiderivative of the interpolant through the
+cell's node values.  A query adds that antiderivative to its cell's left
+value and never calls the integrand again.  Cells never place nodes on the
+boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
+t=0) are safe as long as the grid starts at the endpoint.
 
 One-off integrals with a requested tolerance go through adaptive QUADPACK
 (`scipy.integrate.quad`) with explicit breakpoints.
@@ -17,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 from scipy import integrate
 
 
@@ -30,8 +33,17 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=8)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return leggauss(order)
+
+
+@lru_cache(maxsize=8)
+def _antiderivative_matrix(order: int) -> np.ndarray:
+    """(order, order + 1) map from a cell's Gauss node values to the Legendre
+    coefficients of the interpolant's antiderivative, zero at the left edge."""
+    x, w = _gl_rule(order)
+    k = np.arange(order)[:, None]
+    transform = (k + 0.5) * w * legvander(x, order - 1).T
+    return legint(transform, lbnd=-1).T
 
 
 def scalar_like(t, out):
@@ -55,7 +67,10 @@ class CumulativeIntegral:
     """F(t) = integral of f from grid[0] to t, t in [grid[0], grid[-1]].
 
     The integrand must be vectorized (1-d array in, same shape out) and
-    smooth within each grid cell; kinks belong on grid points.
+    smooth within each grid cell; kinks belong on grid points.  It is called
+    once, at the Gauss nodes, and not kept: inside a cell F integrates the
+    polynomial of degree order - 1 through the cell's node values, so it is
+    exact for integrands of that degree.
     """
 
     def __init__(self, f, grid: np.ndarray, order: int = 8):
@@ -64,7 +79,6 @@ class CumulativeIntegral:
             raise ValueError("grid must be 1-d with at least two points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        self.f = f
         self.grid = grid
         self.order = order
         xg, wg = _gl_rule(order)
@@ -74,6 +88,7 @@ class CumulativeIntegral:
         vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
         cell = half * (vals @ wg)
         self.values = np.concatenate([[0.0], np.cumsum(cell)])
+        self._coef = (vals @ _antiderivative_matrix(order)).T
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -82,19 +97,15 @@ class CumulativeIntegral:
             raise ValueError(f"cumulative integral queried outside [{lo}, {hi}]")
         t_arr = np.clip(t_arr, lo, hi)
         idx = np.searchsorted(self.grid, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, self.grid.size - 2)
-        a = self.grid[idx]
-        half = 0.5 * (t_arr - a)
-        out = self.values[idx].copy()
-        live = half > 0.0
+        out = self.values[idx]
+        live = t_arr > self.grid[idx]  # grid nodes, the last included, read the table
         if np.any(live):
-            xg, wg = _gl_rule(self.order)
-            nodes = (a[live] + half[live])[:, None] + half[live][:, None] * xg[None, :]
-            vals = np.asarray(self.f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-            out[live] += half[live] * (vals @ wg)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out[0])
-        return out
+            i = idx[live]
+            a, b = self.grid[i], self.grid[i + 1]
+            u = (2.0 * t_arr[live] - a - b) / (b - a)
+            # Clenshaw point by point: no reduction whose order depends on the batch
+            out[live] += 0.5 * (b - a) * legval(u, self._coef[:, i], tensor=False)
+        return scalar_like(t, out.reshape(np.shape(t)))
 
     @property
     def total(self) -> float:

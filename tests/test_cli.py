@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cvlab
-from cvlab.cli import main
+from cvlab.cli import _parse_params, main
 from cvlab.metric import load_metric
 from cvlab.quadrature import QuadratureError
 
@@ -71,6 +71,26 @@ def test_bad_param_syntax_exits_two(capsys):
     code, _, err = run(capsys, "classify", "--family", "poly", "--param", "a")
     assert code == 2
     assert "KEY=VALUE" in err
+
+
+@pytest.mark.parametrize("value", ["2", "-3", "1e2", "2.5", "inf", "-inf", "nan", "rational"])
+def test_param_and_profile_file_parse_alike(tmp_path, value):
+    path = tmp_path / "fam.cvp"
+    path.write_text(f"kind = family\nfamily = poly\na = {value}\n")
+    from_file = cvlab.load_profile(path).params["a"]
+    from_cli = _parse_params([f"a={value}"])["a"]
+    assert type(from_cli) is type(from_file) and repr(from_cli) == repr(from_file)
+
+
+@pytest.mark.parametrize("family, param, fragment", [
+    ("poly", "a=inf", "limit a must lie in [0, 1]"),
+    ("poly", "a=nan", "limit a must lie in [0, 1]"),
+    ("yau", "l_max=inf", "infinity"),
+])
+def test_non_finite_param_exits_two(capsys, family, param, fragment):
+    code, _, err = run(capsys, "classify", "--family", family, "--param", param)
+    assert code == 2
+    assert fragment in err
 
 
 def test_family_gate_violation_exits_two(capsys):

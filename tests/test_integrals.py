@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvlab.families import flat_metric, polynomial_xi, s3_metric
+from cvlab.families import flat_metric, lp_counterexample, polynomial_xi, s3_metric
 from cvlab.growth import log_growth_fit
 from cvlab.integrals import (
     average_scalar_curvature,
@@ -220,6 +220,16 @@ def test_ibp_identity_from_f(yau_n3):
     # of order v^2 ~ 1e17 that agree to eleven digits; stop just past the
     # last step, where the identity is conditioned, to see the true gap
     assert mixed_curvature_ibp(yau_n3, 1, t_end=128.0).relative_gap <= 1e-9
+
+
+@pytest.mark.parametrize("p, alpha, beta, l_max", [(2.37, 2.48, 5.0, 75), (2.79, 2.45, 5.0, 69)])
+def test_narrow_steps_keep_every_breakpoint_on_the_grid(p, alpha, beta, l_max):
+    # transitions here are narrower than the master grid's near-duplicate
+    # floor; pruning a breakpoint put a kink inside a cell and broke C10
+    m = lp_counterexample(2, p=p, alpha=alpha, beta=beta, l_max=l_max)
+    bps = np.asarray(m.engine.breakpoints_native)
+    assert np.all(np.isin(bps[bps <= m.native_end], m.native))
+    assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-6
 
 
 def test_ibp_rejects_order_outside_mixed_range(poly05_n2):

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,11 +36,9 @@ from cvlab.metric import (
     classify,
     completeness_check,
     fprime_from_xi,
-    h_to_f,
     load_metric,
     save_metric,
     xi_from_fprime,
-    xi_to_h,
 )
 from cvlab.profiles import (
     ClosedFormSource,
@@ -66,6 +65,21 @@ def test_rational_xi_h_and_v_closed_form(a):
     assert np.allclose(m.v[1:], rational_v(a, r), rtol=1e-10, atol=0)
     assert np.allclose(m.f[1:], rational_v(a, r) / r, rtol=1e-10, atol=0)
     assert np.allclose(m.x[1:], np.sqrt(r * rational_h(a, r)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+def test_rational_xi_engine_between_nodes_closed_form(a):
+    # mid-cell queries integrate each table's in-cell interpolant
+    m = build_metric(polynomial_xi(a), 2)
+    e = m.engine
+    r = 0.5 * (m.native[:-1] + m.native[1:])[::7]
+    # s = int_0^sqrt(r) (1 + u^2)^(-a/2) du = sqrt(r) 2F1(1/2, a/2; 3/2; -r)
+    with mpmath.workdps(30):
+        s = [float(mpmath.sqrt(t) * mpmath.hyp2f1(0.5, a / 2, 1.5, -mpmath.mpf(t))) for t in r]
+    assert np.allclose(e.h_of(r), rational_h(a, r), rtol=1e-12, atol=0)
+    assert np.allclose(e.v_of(r), rational_v(a, r), rtol=1e-12, atol=0)
+    assert np.allclose(e.f_of(r), rational_v(a, r) / r, rtol=1e-12, atol=0)
+    assert np.allclose(e.s_of(r), s, rtol=1e-12, atol=0)
 
 
 def test_distance_matches_adaptive_quadrature(poly05_n2):
@@ -119,21 +133,6 @@ def test_xi_from_fprime_stable_for_tiny_arguments():
     # naive 1 - 1/sqrt(1+fp^2) loses all digits here; the rewritten form keeps them
     fp = 1e-8
     assert xi_from_fprime(fp) == pytest.approx(fp * fp / 2.0, rel=1e-9)
-
-
-def test_xi_to_h_matches_closed_form():
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 800)))
-    h = xi_to_h(polynomial_xi(0.5), h0=1.0, grid=grid)
-    assert np.allclose(h, rational_h(0.5, grid), rtol=1e-12)
-
-
-def test_h_to_f_matches_closed_form():
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 2000)))
-    f = h_to_f(lambda t: rational_h(0.5, t), grid)
-    want = np.empty_like(grid)
-    want[0] = 1.0
-    want[1:] = rational_v(0.5, grid[1:]) / grid[1:]
-    assert np.allclose(f, want, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

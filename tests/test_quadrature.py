@@ -1,0 +1,63 @@
+"""CumulativeIntegral: a table of node data that answers every query itself."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from cvlab.quadrature import CumulativeIntegral
+
+# uneven cells, the first one at the origin
+GRID = np.array([0.0, 0.3, 0.45, 1.0, 1.7, 2.0])
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_polynomials_up_to_degree_seven_are_exact_between_nodes(degree):
+    table = CumulativeIntegral(lambda t: (degree + 1) * t**degree, GRID)
+    t = np.linspace(0.0, 2.0, 203)[1:-1]
+    t = t[~np.isin(t, GRID)]
+    scale = 2.0 ** (degree + 1)
+    assert np.max(np.abs(table(t) - t ** (degree + 1))) <= 1e-14 * scale
+
+
+def test_node_queries_return_the_stored_values():
+    table = CumulativeIntegral(np.exp, np.geomspace(1e-3, 30.0, 41))
+    assert np.array_equal(table(table.grid), table.values)
+    assert table(table.grid[0]) == table.values[0] == 0.0
+    assert table(table.grid[-1]) == table.values[-1] == table.total
+
+
+def test_a_point_gives_the_same_bits_alone_and_in_a_batch():
+    table = CumulativeIntegral(lambda t: np.sqrt(1.0 + t) / (1.0 + t * t), np.geomspace(1e-4, 1e4, 300))
+    rng = np.random.default_rng(3)
+    t = np.concatenate((np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 200)), table.grid[::17]))
+    batch = table(t)
+    assert np.array_equal(batch, [table(float(p)) for p in t])
+    assert np.array_equal(batch[:7], table(t[:7]))
+    assert np.array_equal(table(t.reshape(2, -1)).ravel(), batch)
+
+
+def test_the_integrand_runs_once_and_is_not_kept():
+    calls = []
+
+    def integrand(t):
+        calls.append(t.size)
+        return np.cos(t)
+
+    table = CumulativeIntegral(integrand, np.linspace(0.0, 3.0, 13))
+    ref = weakref.ref(integrand)
+    del integrand
+    gc.collect()
+    assert ref() is None
+    table(np.linspace(0.0, 3.0, 101))
+    table(1.2345)
+    assert calls == [12 * 8]
+    assert table(1.2345) == pytest.approx(np.sin(1.2345), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [-1e-3, 2.0 * (1.0 + 1e-9), [0.5, 3.0]])
+def test_queries_outside_the_grid_raise(t):
+    table = CumulativeIntegral(np.cos, GRID)
+    with pytest.raises(ValueError, match="outside"):
+        table(t)
