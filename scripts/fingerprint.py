@@ -14,8 +14,11 @@ scalars; ``average_scalar_curvature`` at three radii; and
 ``curvature_table``.  A call that raises is recorded as its exception type.
 
 ``--compare`` lists every key that is missing from one dump or not
-``np.array_equal`` between them, with the largest relative gap of each
-differing float key and of all of them, and exits 1 if there is any.  The script
+``np.array_equal`` between them, with two gaps for each differing float key
+and the largest of each over all of them, and exits 1 if there is any.  The
+relative gap is the largest entrywise |a - b| / max(|a|, |b|); the scale gap
+is the largest |a - b| over the key's largest |value|, which tells a last-digit
+change in a tiny entry from a real move.  The script
 uses only long-standing public API and engine methods, so the same file
 fingerprints an older checkout too:
 
@@ -152,31 +155,38 @@ def _same(u, v):
     return np.array_equal(u, v, equal_nan=floats)
 
 
-def _rel_gap(u, v):
-    """Largest |u - v| / max(|u|, |v|) over the entries (inf where one side is
-    NaN or infinite alone), or None for keys that are not float arrays of one shape."""
+def _gaps(u, v):
+    """(relative gap, scale gap), or None for keys that are not float arrays of
+    one shape.  The relative gap is the largest |u - v| / max(|u|, |v|) over the
+    entries (inf where one side is NaN or infinite alone); the scale gap is the
+    largest |u - v| over the largest |value| of the key, on the entries finite
+    on both sides, so a tiny entry that changes in its last digits reads small."""
     if u.dtype.kind != "f" or v.dtype.kind != "f" or u.shape != v.shape:
         return None
     with np.errstate(invalid="ignore", divide="ignore"):
         gap = np.abs(u - v) / np.maximum(np.abs(u), np.abs(v))
     same = (u == v) | (np.isnan(u) & np.isnan(v))
-    return float(np.max(np.where(same, 0.0, np.nan_to_num(gap, nan=np.inf)), initial=0.0))
+    rel = float(np.max(np.where(same, 0.0, np.nan_to_num(gap, nan=np.inf)), initial=0.0))
+    both = np.isfinite(u) & np.isfinite(v)
+    scale = max(np.max(np.abs(u[both]), initial=0.0), np.max(np.abs(v[both]), initial=0.0))
+    diff = float(np.max(np.abs(u[both] - v[both]), initial=0.0))
+    return rel, diff / scale if scale > 0 else 0.0
 
 
 def compare(path_a, path_b):
     a, b = np.load(path_a), np.load(path_b)
     differ = sorted(set(a.files) ^ set(b.files))
     differ += [k for k in sorted(set(a.files) & set(b.files)) if not _same(a[k], b[k])]
-    worst = 0.0
+    worst = worst_scale = 0.0
     for key in differ:
-        gap = _rel_gap(a[key], b[key]) if key in a.files and key in b.files else None
-        if gap is None:
+        gaps = _gaps(a[key], b[key]) if key in a.files and key in b.files else None
+        if gaps is None:
             print(f"differs: {key}")
         else:
-            worst = max(worst, gap)
-            print(f"differs: {key}  max rel gap {gap:.3g}")
+            worst, worst_scale = max(worst, gaps[0]), max(worst_scale, gaps[1])
+            print(f"differs: {key}  max rel gap {gaps[0]:.3g}  scale gap {gaps[1]:.3g}")
     print(f"{len(set(a.files) | set(b.files))} keys, {len(differ)} differ, "
-          f"max rel gap {worst:.3g}")
+          f"max rel gap {worst:.3g}, max scale gap {worst_scale:.3g}")
     return 1 if differ else 0
 
 

@@ -5,9 +5,9 @@ profile, ``classify`` builds a model and reports its class, ``curvature-table``
 and ``series`` export tables, ``chern`` prints the total Chern-power integral,
 ``report`` bundles a growth verdict with the volume-constant measurement.
 
-Exit codes: 0 success, 1 validation failure, 2 parse/usage error,
-3 quadrature failure.  Environment: CVLAB_GRID and CVLAB_TOL override the
-default grid size and adaptive tolerance.
+Exit codes: 0 success, 1 validation failure, 2 parse/usage error.
+Environment: CVLAB_GRID and CVLAB_TOL override the default grid size and
+adaptive tolerance.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .profiles import (
     parse_scalar,
     validate,
 )
-from .quadrature import QuadratureError
 
 log = logging.getLogger("cvlab")
 
@@ -337,13 +336,8 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
-    except (ExpressionError, ProfileFileError, ProfileError, ParameterGateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OverflowError) as exc:  # OverflowError: int(inf), say l_max=inf
+    except (ExpressionError, ProfileFileError, ProfileError, ParameterGateError,
+            ValueError, OverflowError) as exc:  # OverflowError: int(inf), say l_max=inf
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

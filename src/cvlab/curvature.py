@@ -16,7 +16,8 @@ volume form.
 Two evaluation routes are exposed for cross-checking: the native route uses
 the generator's own representation exactly, while ``abc_at_r`` on transverse
 models (and ``abc_at_x`` on radial ones) re-derives the radial component from
-finite differences of the tabulated profile in the other coordinate.
+``dxi_dr`` (``fprime_over_x``): stencil derivatives of the tabulated profile in
+the other coordinate that never cross a breakpoint, kept in the model's cache.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
-from .metric import MetricModel, Representation
-from .quadrature import scalar_like
+from .metric import MetricModel, Representation, fprime_from_xi
+from .quadrature import scalar_like, stencil_derivative
 
 
 def ricci_eigenvalues(A, B, C, n: int):
@@ -89,7 +91,7 @@ def abc_at_r(model: MetricModel, r):
         return scalar_like(r, model.engine.abc_of(r))
     t = model.native_from_r(r)
     _, B, C = model.engine.abc_of(t)
-    A = model.dxi_dr(np.clip(t, model.native[0], model.native[-1])) / model.engine.h_of(t)
+    A = dxi_dr(model)(np.clip(t, model.native[0], model.native[-1])) / model.engine.h_of(t)
     return scalar_like(r, (A, B, C))
 
 
@@ -104,7 +106,7 @@ def abc_at_x(model: MetricModel, x):
         return scalar_like(x, model.engine.abc_of(x))
     if float(np.max(model.xi)) >= 1.0 - 1e-9:
         raise ValueError("transverse route needs xi < 1 everywhere (no saturation)")
-    fp_of_x, fpp_of_x = model.fprime_over_x
+    fp_of_x, fpp_of_x = fprime_over_x(model)
     t = model.native_from_x(x)
     _, B, C = model.engine.abc_of(t)
     x_t = np.clip(model.engine.x_of(t), model.x[0], model.x[-1])
@@ -113,6 +115,32 @@ def abc_at_x(model: MetricModel, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         A = np.where(x_t > 0, fp * fpp / (2.0 * x_t * sq2 * sq2), 0.5 * fpp**2)
     return scalar_like(x, (A, B, C))
+
+
+def _seam_indices(model: MetricModel):
+    """Nodes bounding the smooth segments of the native table."""
+    bp = np.asarray(model.engine.breakpoints_native, dtype=float)
+    idx = np.clip(np.searchsorted(model.native, bp), 0, model.native.size - 1)
+    return np.unique(idx)
+
+
+def dxi_dr(model: MetricModel) -> PchipInterpolator:
+    """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils."""
+    if "dxi_dr" not in model._cache:
+        table = stencil_derivative(model.xi, model.r, segments=_seam_indices(model))
+        model._cache["dxi_dr"] = PchipInterpolator(model.native, table, extrapolate=False)
+    return model._cache["dxi_dr"]
+
+
+def fprime_over_x(model: MetricModel) -> tuple[PchipInterpolator, PchipInterpolator]:
+    """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1."""
+    if "fprime_over_x" not in model._cache:
+        fp_table = fprime_from_xi(np.clip(model.xi, 0.0, 1.0 - 1e-15))
+        fpp_table = stencil_derivative(fp_table, model.x, segments=_seam_indices(model))
+        model._cache["fprime_over_x"] = tuple(
+            PchipInterpolator(model.x, y, extrapolate=False) for y in (fp_table, fpp_table)
+        )
+    return model._cache["fprime_over_x"]
 
 
 # ---------------------------------------------------------------------------

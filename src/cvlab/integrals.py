@@ -151,7 +151,7 @@ class BallIntegralSeries:
 
 
 def _density_cumulative(model: MetricModel, key, density) -> CumulativeIntegral:
-    cache = model._series_cache
+    cache = model._cache
     if key not in cache:
         n = model.n
 

@@ -1,21 +1,20 @@
 """Metric models on C^n built from a single radial generator.
 
-With r = |z|^2, a rotation-invariant Kahler form is determined by one radial
-coefficient: we carry h(r) (the angular coefficient), its average
-f(r) = (1/r) * integral of h, and the profile xi(r) = -r h'(r)/h(r).  The
-model tabulates everything on one master grid in the native coordinate of the
-generator (r for xi- and h-kind profiles, the transverse coordinate x with
-x^2 = r*h for F''-kind profiles) and exposes vectorized callables for the
-geodesic distance s, the normalized volume v = r*f, and the three curvature
-components.
+With r = |z|^2, a rotation-invariant Kahler form is determined by h(r), the
+angular coefficient.  We carry it, its average f = (1/r) * integral of h, the
+normalized volume v = r*f, w := v - r*h, xi(r) = -r h'/h and the geodesic
+distance s.  One ``Engine`` tabulates them on a master grid in the generator's
+native coordinate.  Its two constructors differ only in the tables they hold
+and in how they form the radial curvature component A:
 
-Key cancellation-free identities used throughout (w := r*(f - h) = v - r*h):
+    _xi_engine   r, for xi- and h-kind profiles:   A = xi'(r) / h
+    _f_engine    x with x^2 = r*h, for F''-kind:   A = F' F'' / (2x (1 + F'^2)^2)
+
+The other two are written once, manifestly nonnegative for nondecreasing xi
+and free of the cancellation that costs naive differences every digit near
+the origin (where B = A/2 and C = A):
 
     B = (xi*v - w) / v^2       C = 2*w / v^2
-
-both manifestly nonnegative for nondecreasing xi, and numerically stable all
-the way to the origin where naive differences of near-equal terms lose every
-significant digit.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ import json
 import logging
 import math
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -47,7 +47,6 @@ from .quadrature import (
     derivative_fd,
     extrapolate_limit,
     scalar_like,
-    stencil_derivative,
 )
 
 log = logging.getLogger(__name__)
@@ -136,212 +135,179 @@ def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
     return grid[~drop]
 
 
-class _XiEngine:
-    """Tables and callables for a metric generated by xi(r) (or injected h)."""
+_as_float = partial(np.asarray, dtype=float)
 
-    representation = Representation.FROM_XI
 
-    def __init__(self, profile: GeneratorProfile, opts: BuildOptions):
-        self.profile = profile
-        self.h0 = opts.h0
-        end = min(profile.domain_end, opts.r_max)
-        self.grid = _master_grid(profile.source, end, opts)
+def _profile_fn(profile: GeneratorProfile):
+    """The generator as a float-array callable of native radii."""
+    return lambda t: _as_float(eval_profile(profile, _as_float(t)))
 
-        if profile.kind is GeneratorKind.XI:
-            xi0 = float(eval_profile(profile, 0.0))
-            if abs(xi0) > 1e-9:
-                raise ProfileError(
-                    f"xi(0) = {xi0:.3g}; the h-integral needs xi(0) = 0 to converge"
-                )
-            self._xi_fn = lambda t: np.asarray(eval_profile(profile, t), dtype=float)
-            # xi(0) = 0 makes xi(t)/t integrable; quadrature nodes never sit at 0
-            self._log_h = CumulativeIntegral(lambda t: self._xi_fn(t) / t, self.grid)
-            self._h_fn = lambda t: self.h0 * np.exp(-self._log_h(t))
-        else:  # injected h; xi derived.  Origin-singular h is truncated at the grid floor.
-            try:
-                eval_profile(profile, 0.0)
-            except (ArithmeticError, ProfileDomainError):
-                self.grid = self.grid[self.grid > 0]
-            self._h_fn = lambda t: np.asarray(eval_profile(profile, t), dtype=float)
-            self._xi_fn = self._xi_from_h
-            self._log_h = None
 
-        self._v = CumulativeIntegral(self._h_fn, self.grid)
-        self._w = CumulativeIntegral(lambda t: self._xi_fn(t) * self._h_fn(t), self.grid)
-        ugrid = np.sqrt(self.grid)
-        if ugrid[0] > 0:
-            ugrid = np.concatenate(([0.0], ugrid))
-        self._s_u = CumulativeIntegral(lambda u: np.sqrt(self._h_fn(u * u)), ugrid)
+def _xi_of_fprime(fp):
+    sq = np.hypot(1.0, fp)
+    return fp * fp / (sq * (1.0 + sq))
 
-    def _xi_from_h(self, t):
-        t = np.asarray(t, dtype=float)
-        hp = self.profile.source.derivative(t)
-        if hp is None:
-            # keep the difference stencil strictly inside (0, grid_end)
-            floor = self.grid[0] if self.grid[0] > 0 else self.grid[1]
-            centers = np.clip(t, floor, self.grid[-1] * (1.0 - 2e-6))
-            hp = derivative_fd(self._h_fn, centers)
-        return np.where(t == 0.0, 0.0, -t * np.asarray(hp, dtype=float) / self._h_fn(t))
 
-    # -- callables in the native coordinate (r) --
+@dataclass(frozen=True, eq=False)
+class Engine:
+    """A gauge's tables and profile callables, in its native coordinate.
 
-    def xi_of(self, t):
-        return self._xi_fn(np.asarray(t, dtype=float))
+    ``parts_of(t)`` gives (A, v, w, xi), each table read once (xi last: read
+    first, it doubled a batched call's page faults); the (A, B, C) algebra,
+    f = v/r and the breakpoints are written once on top of it.
+    """
 
-    def h_of(self, t):
-        return self._h_fn(np.asarray(t, dtype=float))
-
-    def v_of(self, t):
-        return self._v(t)
-
-    def f_of(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.divide(self._v(t), t, out=np.full_like(t, self.h0), where=t > 0)
-
-    def s_of(self, t):
-        return self._s_u(np.sqrt(np.asarray(t, dtype=float)))
-
-    def r_of(self, t):
-        return np.asarray(t, dtype=float)
-
-    def x_of(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        return np.sqrt(t_arr * self._h_fn(t_arr))
-
-    def vprime_of(self, t):
-        # dv/dr = h
-        return self.h_of(t)
-
-    def xi_prime_of(self, t):
-        t = np.asarray(t, dtype=float)
-        exact = self.profile.source.derivative(t)
-        if exact is not None and self.profile.kind is GeneratorKind.XI:
-            return np.asarray(exact, dtype=float)
-        out = np.empty_like(t)
-        pos = t > 0
-        out[pos] = derivative_fd(self._xi_fn, t[pos])
-        if np.any(~pos):
-            eps = 1e-7
-            # second-order one-sided difference; xi(0) = 0
-            out[~pos] = (4.0 * self._xi_fn(eps) - self._xi_fn(2 * eps)) / (2 * eps) - (
-                3.0 * self._xi_fn(0.0) / (2 * eps)
-            )
-        return out
+    representation: Representation
+    profile: GeneratorProfile
+    grid: np.ndarray
+    h0: float
+    parts_of: Callable
+    xi_of: Callable
+    h_of: Callable
+    v_of: Callable
+    s_of: Callable
+    r_of: Callable
+    x_of: Callable
+    vprime_of: Callable
+    xi_prime_of: Callable | None = None  # the xi gauge only
+    fprime_of: Callable | None = None  # the F gauge only
+    fpp_of: Callable | None = None  # the F gauge only
 
     def abc_of(self, t):
-        t = np.asarray(t, dtype=float)
-        A = self.xi_prime_of(t) / self.h_of(t)
-        v, w, xi = self._v(t), self._w(t), self._xi_fn(t)
+        t = _as_float(t)
+        A, v, w, xi = self.parts_of(t)
         v2 = np.square(v)  # a ufunc, not **: see scalar_like
         with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
             B = np.where(t > 0, (xi * v - w) / v2, 0.5 * A)
             C = np.where(t > 0, 2.0 * w / v2, A)
         return A, B, C
 
-    @property
-    def breakpoints_native(self):
-        return self.profile.source.breakpoints()
-
-
-class _FEngine:
-    """Tables and callables for a metric generated by F''(x)."""
-
-    representation = Representation.FROM_F
-
-    def __init__(self, profile: GeneratorProfile, opts: BuildOptions):
-        self.profile = profile
-        self.h0 = opts.h0
-        end = opts.x_max
-        if end is None:
-            end = profile.domain_end
-            if not np.isfinite(end):
-                bps = profile.source.breakpoints()
-                end = 8.0 * float(np.max(bps)) if len(bps) else 1e4
-        self.grid = _master_grid(profile.source, float(end), opts)
-
-        self._fpp_fn = lambda t: np.asarray(eval_profile(profile, t), dtype=float)
-        src = profile.source
-        if src.cumulative(np.array([0.0])) is not None:
-            self._fp_fn = src.cumulative
-        else:
-            self._fp_fn = CumulativeIntegral(self._fpp_fn, self.grid)
-
-        # w = v - x^2 = integral of 2*tau*(sq - 1); sq - 1 written stably
-        self._w = CumulativeIntegral(lambda t: 2.0 * t * self._sq_minus_1(t), self.grid)
-        self._s = CumulativeIntegral(self._sq_fn, self.grid)
-        # log(r/x^2): d/dx = 2*(sq - 1)/x, integrable since F'(x) ~ F''(0) x at 0
-        self._logr = CumulativeIntegral(lambda t: 2.0 * self._sq_minus_1(t) / t, self.grid)
-
-    def _sq_fn(self, t):
-        return np.hypot(1.0, self._fp_fn(t))
-
-    def _sq_minus_1(self, t):
-        fp = self._fp_fn(t)
-        return fp * fp / (1.0 + np.hypot(1.0, fp))
-
-    # -- callables in the native coordinate (x) --
-
-    def fprime_of(self, t):
-        return self._fp_fn(np.asarray(t, dtype=float))
-
-    def fpp_of(self, t):
-        return self._fpp_fn(np.asarray(t, dtype=float))
-
-    def xi_of(self, t):
-        fp = self._fp_fn(np.asarray(t, dtype=float))
-        sq = np.hypot(1.0, fp)
-        return fp * fp / (sq * (1.0 + sq))
-
-    def v_of(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        return t_arr * t_arr + self._w(t_arr)
-
-    def s_of(self, t):
-        return self._s(t)
-
-    def r_of(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        return t_arr * t_arr * np.exp(self._logr(t_arr)) / self.h0
-
-    def x_of(self, t):
-        return np.asarray(t, dtype=float)
-
-    def h_of(self, t):
-        return self.h0 * np.exp(-self._logr(t))
-
     def f_of(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.divide(
-            self.v_of(t) * self.h_of(t), t**2, out=np.full_like(t, self.h0), where=t > 0
-        )
-
-    def vprime_of(self, t):
-        # dv/dx = 2*x*sqrt(1 + F'^2)
-        t_arr = np.asarray(t, dtype=float)
-        return 2.0 * t_arr * self._sq_fn(t_arr)
-
-    def abc_of(self, t):
-        t = np.asarray(t, dtype=float)
-        fp = self._fp_fn(t)
-        fpp = self._fpp_fn(t)
-        sq = np.hypot(1.0, fp)
-        w = self._w(t)
-        v = t * t + w
-        with np.errstate(divide="ignore", invalid="ignore"):  # origin limits below
-            A = fp * fpp / (2.0 * t * np.power(sq, 4))  # not **: see scalar_like
-            B = (t * t * (sq - 1.0) - w) / (v * v * sq)
-            C = 2.0 * w / (v * v)
-        origin = t == 0
-        if np.any(origin):
-            fpp0 = float(self._fpp_fn(0.0))
-            A = np.where(origin, 0.5 * fpp0**2, A)
-            B = np.where(origin, 0.25 * fpp0**2, B)
-            C = np.where(origin, 0.5 * fpp0**2, C)
-        return A, B, C
+        t = _as_float(t)
+        return np.divide(self.v_of(t), self.r_of(t), out=np.full_like(t, self.h0), where=t > 0)
 
     @property
     def breakpoints_native(self):
         return self.profile.source.breakpoints()
+
+
+def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
+    """The r gauge: xi(r) given (or derived from an injected h); A = xi'(r)/h."""
+    grid = _master_grid(profile.source, min(profile.domain_end, opts.r_max), opts)
+
+    def xi_prime_fd(t):
+        t = _as_float(t)
+        out = np.empty_like(t)
+        pos = t > 0
+        out[pos] = derivative_fd(xi_fn, t[pos])
+        if np.any(~pos):
+            eps = 1e-7
+            # second-order one-sided difference at the origin
+            out[~pos] = (4.0 * xi_fn(eps) - xi_fn(2 * eps) - 3.0 * xi_fn(0.0)) / (2 * eps)
+        return out
+
+    if profile.kind is GeneratorKind.XI:
+        xi0 = float(eval_profile(profile, 0.0))
+        if abs(xi0) > 1e-9:
+            raise ProfileError(
+                f"xi(0) = {xi0:.3g}; the h-integral needs xi(0) = 0 to converge"
+            )
+        xi_fn = _profile_fn(profile)
+        # xi(0) = 0 makes xi(t)/t integrable; quadrature nodes never sit at 0
+        log_h = CumulativeIntegral(lambda t: xi_fn(t) / t, grid)
+
+        def h_fn(t):
+            return opts.h0 * np.exp(-log_h(t))
+
+        def xi_prime_of(t):
+            exact = profile.source.derivative(_as_float(t))
+            return xi_prime_fd(t) if exact is None else _as_float(exact)
+
+    else:  # injected h; xi derived.  Origin-singular h is truncated at the grid floor.
+        try:
+            eval_profile(profile, 0.0)
+        except (ArithmeticError, ProfileDomainError):
+            grid = grid[grid > 0]
+        h_fn = _profile_fn(profile)
+        xi_prime_of = xi_prime_fd
+
+        def xi_fn(t):
+            t = _as_float(t)
+            hp = profile.source.derivative(t)
+            if hp is None:
+                # keep the difference stencil strictly inside (0, grid_end)
+                floor = grid[0] if grid[0] > 0 else grid[1]
+                centers = np.clip(t, floor, grid[-1] * (1.0 - 2e-6))
+                hp = derivative_fd(h_fn, centers)
+            return np.where(t == 0.0, 0.0, -t * _as_float(hp) / h_fn(t))
+
+    v = CumulativeIntegral(h_fn, grid)
+    w = CumulativeIntegral(lambda t: xi_fn(t) * h_fn(t), grid)
+    ugrid = np.sqrt(grid)
+    if ugrid[0] > 0:
+        ugrid = np.concatenate(([0.0], ugrid))
+    s_u = CumulativeIntegral(lambda u: np.sqrt(h_fn(u * u)), ugrid)
+
+    return Engine(
+        Representation.FROM_XI, profile, grid, opts.h0,
+        parts_of=lambda t: (xi_prime_of(t) / h_fn(t), v(t), w(t), xi_fn(t)),
+        xi_of=xi_fn,
+        h_of=h_fn,
+        v_of=v,
+        s_of=lambda t: s_u(np.sqrt(_as_float(t))),
+        r_of=_as_float,
+        x_of=lambda t: np.sqrt(_as_float(t) * h_fn(t)),
+        vprime_of=h_fn,  # dv/dr
+        xi_prime_of=xi_prime_of,
+    )
+
+
+def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
+    """The x gauge: F''(x) given, F' its running integral; A = F'F''/(2x(1 + F'^2)^2)."""
+    end = opts.x_max
+    if end is None:
+        end = profile.domain_end
+        if not np.isfinite(end):
+            bps = profile.source.breakpoints()
+            end = 8.0 * float(np.max(bps)) if len(bps) else 1e4
+    grid = _master_grid(profile.source, float(end), opts)
+
+    fpp = _profile_fn(profile)
+    fp = profile.source.cumulative
+    if fp(np.array([0.0])) is None:
+        fp = CumulativeIntegral(fpp, grid)
+
+    def sq_minus_1(t):  # sqrt(1 + F'^2) - 1, written stably
+        p = fp(t)
+        return p * p / (1.0 + np.hypot(1.0, p))
+
+    # w = v - x^2 = integral of 2*tau*(sq - 1)
+    w = CumulativeIntegral(lambda t: 2.0 * t * sq_minus_1(t), grid)
+    s = CumulativeIntegral(lambda t: np.hypot(1.0, fp(t)), grid)
+    # log(r/x^2): d/dx = 2*(sq - 1)/x, integrable since F'(x) ~ F''(0) x at 0
+    logr = CumulativeIntegral(lambda t: 2.0 * sq_minus_1(t) / t, grid)
+
+    def parts_of(t):
+        p, pp, wt = fp(t), fpp(t), w(t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: the limit F''(0)^2/2
+            A = np.where(
+                t > 0, p * pp / (2.0 * t * np.power(np.hypot(1.0, p), 4)), 0.5 * np.square(pp)
+            )
+        return A, t * t + wt, wt, _xi_of_fprime(p)
+
+    return Engine(
+        Representation.FROM_F, profile, grid, opts.h0,
+        parts_of=parts_of,
+        xi_of=lambda t: _xi_of_fprime(fp(t)),
+        h_of=lambda t: opts.h0 * np.exp(-logr(t)),
+        v_of=lambda t: np.square(t) + w(t),
+        s_of=s,
+        r_of=lambda t: np.square(t) * np.exp(logr(t)) / opts.h0,
+        x_of=_as_float,
+        vprime_of=lambda t: 2.0 * _as_float(t) * np.hypot(1.0, fp(t)),  # dv/dx
+        fprime_of=fp,
+        fpp_of=fpp,
+    )
 
 
 class _LogLogInverse:
@@ -372,7 +338,7 @@ class MetricModel:
     profile: GeneratorProfile
     options: BuildOptions
     classification: Classification
-    engine: object = field(repr=False)
+    engine: Engine = field(repr=False)
     r: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
@@ -380,8 +346,9 @@ class MetricModel:
     xi: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
-    # cumulative ball integrals of curvature densities, keyed by density
-    _series_cache: dict = field(default_factory=dict, repr=False)
+    # derived tables, built on first use: the s/r/x inverses, ball-integral
+    # cumulatives keyed by density, the curvature cross-check stencil tables
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def c_n(self) -> float:
@@ -396,17 +363,12 @@ class MetricModel:
     def native_end(self) -> float:
         return float(self.engine.grid[-1])
 
-    @cached_property
-    def _s_inverse(self) -> _LogLogInverse:
-        return _LogLogInverse(self.s, self.native)
-
-    @cached_property
-    def _r_inverse(self) -> _LogLogInverse:
-        return _LogLogInverse(self.r, self.native)
-
-    @cached_property
-    def _x_inverse(self) -> _LogLogInverse:
-        return _LogLogInverse(self.x, self.native)
+    def _inverse(self, table: str) -> _LogLogInverse:
+        """The native coordinate as a function of the ``s``, ``r`` or ``x`` table."""
+        key = ("inverse", table)
+        if key not in self._cache:
+            self._cache[key] = _LogLogInverse(getattr(self, table), self.native)
+        return self._cache[key]
 
     def radius_from_s(self, s):
         """Native radius at geodesic distance s (monotone log-log interpolation)."""
@@ -415,13 +377,13 @@ class MetricModel:
             raise ValueError(
                 f"distance outside the tabulated range (0, {self.s[-1]:.6g}]"
             )
-        return scalar_like(s, self._s_inverse(s_arr)[1])
+        return scalar_like(s, self._inverse("s")(s_arr)[1])
 
     def native_from_r(self, r):
         """Native radius at r = |z|^2: log-log seed, polished by Newton steps."""
         if self.representation is Representation.FROM_XI:
             return np.asarray(r, dtype=float)
-        lr, t = self._r_inverse(r)
+        lr, t = self._inverse("r")(r)
 
         # r(t) = t^2/h, d ln r / d ln t = 2/(1 - xi), so two or three Newton
         # corrections take ~1e-5 seed error to rounding
@@ -437,7 +399,7 @@ class MetricModel:
         if np.any(np.asarray(x, dtype=float) > self.x[-1] * (1 + 1e-9)):
             # past saturation no radius has this x
             raise ValueError(f"transverse radius beyond the tabulated x <= {self.x[-1]:.6g}")
-        lx, t = self._x_inverse(x)
+        lx, t = self._inverse("x")(x)
 
         # x(t) = sqrt(t h), d ln x / d ln t = (1 - xi)/2; skip the correction
         # where xi has saturated (x is constant there, the seed is all there is)
@@ -457,29 +419,6 @@ class MetricModel:
             step = log_step(t, self.engine.h_of(t), self.engine.xi_of(t))
             t = t * np.exp(np.clip(step, -0.5, 0.5))
         return np.clip(t, lo, hi)
-
-    def _seam_indices(self):
-        """Nodes bounding the smooth segments of the native table."""
-        bp = np.asarray(self.engine.breakpoints_native, dtype=float)
-        if bp.size == 0:
-            return None
-        idx = np.clip(np.searchsorted(self.native, bp), 0, self.native.size - 1)
-        return np.unique(idx)
-
-    @cached_property
-    def dxi_dr(self) -> PchipInterpolator:
-        """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils."""
-        table = stencil_derivative(self.xi, self.r, segments=self._seam_indices())
-        return PchipInterpolator(self.native, table, extrapolate=False)
-
-    @cached_property
-    def fprime_over_x(self) -> tuple[PchipInterpolator, PchipInterpolator]:
-        """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1."""
-        fp_table = fprime_from_xi(np.clip(self.xi, 0.0, 1.0 - 1e-15))
-        fpp_table = stencil_derivative(fp_table, self.x, segments=self._seam_indices())
-        return tuple(
-            PchipInterpolator(self.x, y, extrapolate=False) for y in (fp_table, fpp_table)
-        )
 
     def describe(self) -> dict:
         cls = self.classification
@@ -550,10 +489,8 @@ def build_metric(profile, n: int, options: BuildOptions | None = None) -> Metric
         )
     opts = options or BuildOptions()
 
-    if profile.kind is GeneratorKind.FPP:
-        engine: object = _FEngine(profile, opts)
-    else:
-        engine = _XiEngine(profile, opts)
+    build = _f_engine if profile.kind is GeneratorKind.FPP else _xi_engine
+    engine = build(profile, opts)
 
     grid = engine.grid
     xi = engine.xi_of(grid)
@@ -612,8 +549,7 @@ def xi_from_fprime(fprime):
     fp = np.asarray(fprime, dtype=float)
     if np.any(fp < 0.0):
         raise ValueError("xi_from_fprime needs F' >= 0")
-    sq = np.hypot(1.0, fp)
-    return scalar_like(fprime, fp * fp / (sq * (1.0 + sq)))
+    return scalar_like(fprime, _xi_of_fprime(fp))
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,10 @@ class CumulativeIntegral:
             i = idx[live]
             a, b = self.grid[i], self.grid[i + 1]
             u = (2.0 * t_arr[live] - a - b) / (b - a)
+            half = 0.5 * (b - a)
+            del a, b, t_arr, idx  # a big query's peak stays under glibc's trim threshold
             # Clenshaw point by point: no reduction whose order depends on the batch
-            out[live] += 0.5 * (b - a) * legval(u, self._coef[:, i], tensor=False)
+            out[live] += half * legval(u, self._coef[:, i], tensor=False)
         return scalar_like(t, out.reshape(np.shape(t)))
 
     @property

@@ -265,3 +265,21 @@ def rational_abc_mp(a, r, digits=40):
             for j, value in enumerate(abc):
                 out[j].flat[i] = float(value)
     return tuple(out)
+
+
+def fgauge_b_mp(x, fprime, w, digits=50):
+    """B = (x^2 (sq - 1) - w)/(v^2 sq) at ``digits`` digits, sq = sqrt(1 + F'^2),
+    v = x^2 + w, from given float x, F' and w.
+
+    Float evaluation of this form cancels every digit in sq - 1 as F' -> 0;
+    here the inputs are taken as exact, so it isolates the rounding of the
+    algebra from the error of the tables that supplied F' and w.
+    """
+    out = np.empty(np.shape(x))
+    with mpmath.workdps(digits):
+        for i, (t, p, wt) in enumerate(zip(np.ravel(x), np.ravel(fprime), np.ravel(w))):
+            t, p, wt = mpmath.mpf(t), mpmath.mpf(p), mpmath.mpf(wt)
+            sq = mpmath.sqrt(1 + p * p)
+            v = t * t + wt
+            out.flat[i] = float((t * t * (sq - 1) - wt) / (v * v * sq))
+    return out

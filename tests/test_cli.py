@@ -10,7 +10,6 @@ import pytest
 import cvlab
 from cvlab.cli import _parse_params, main
 from cvlab.metric import load_metric
-from cvlab.quadrature import QuadratureError
 
 
 def run(capsys, *argv):
@@ -244,20 +243,7 @@ def test_report_bundles_all_sections(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# quadrature failures and environment overrides
-
-
-def test_quadrature_failure_maps_to_exit_three(capsys, monkeypatch):
-    import cvlab.cli as cli_mod
-
-    def boom(*_a, **_k):
-        raise QuadratureError("synthetic", achieved=1e-3)
-
-    monkeypatch.setattr(cli_mod, "normalized_sigma_series", boom)
-    code, _, err = run(capsys, "series", "--family", "poly", "--param", "a=0.5",
-                       "--grid", "256", "--mode", "sigma", "--k", "1")
-    assert code == 3
-    assert "quadrature failure" in err
+# environment overrides
 
 
 def test_env_grid_override_changes_build(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cvlab.curvature import (
     sigma_k,
 )
 
-from _oracles import chern_density_oracle, rational_abc_mp, sigma_oracle
+from _oracles import chern_density_oracle, fgauge_b_mp, rational_abc_mp, sigma_oracle
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -154,6 +155,42 @@ def test_curvature_nonnegative_for_valid_profiles(poly05_n2, yau_n3, s3_n2, lp_m
         assert np.all(A >= -1e-12)
         assert np.all(B >= -1e-15)
         assert np.all(C >= -1e-15)
+
+
+def test_f_gauge_b_keeps_its_digits_where_fprime_is_small(yau_n3):
+    # B written as (x^2 (sq - 1) - w)/(v^2 sq) loses every digit as F' -> 0
+    # (100% off, some values negative); the shared (xi v - w)/v^2 with
+    # xi = F'^2/(sq (1 + sq)) measures 3.6e-10 at worst
+    e = yau_n3.engine
+    x = 0.5 * (yau_n3.native[:-1] + yau_n3.native[1:])
+    B = e.abc_of(x)[1]
+    assert np.all(B >= 0.0)
+    ref = fgauge_b_mp(x, e.fprime_of(x), e.parts_of(x)[2])
+    small = (np.abs(ref) > 0) & (np.abs(ref) < 1e-8 * np.max(np.abs(ref)))
+    assert np.count_nonzero(small) > 400
+    assert np.allclose(B[small], ref[small], rtol=1e-9, atol=0.0)
+
+
+def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
+    # one abc_of query on a large batch costs about its table reads; on the
+    # F gauge the closed-form F'' makes F' a table too, so its reads count
+    from cvlab import BuildOptions, ClosedFormSource, GeneratorKind, GeneratorProfile, build_metric
+    from cvlab.quadrature import CumulativeIntegral
+
+    fpp = GeneratorProfile(GeneratorKind.FPP, ClosedFormSource("exp(-t)"))
+    f_model = build_metric(fpp, 2, BuildOptions(grid_size=512))
+    reads = Counter()
+    query = CumulativeIntegral.__call__
+
+    def counted(table, t):
+        reads[id(table)] += 1
+        return query(table, t)
+
+    monkeypatch.setattr(CumulativeIntegral, "__call__", counted)
+    for m, tables in ((poly05_n2, 3), (f_model, 2)):  # log h, v, w; F', w
+        reads.clear()
+        m.engine.abc_of(m.native)
+        assert sorted(reads.values()) == [1] * tables
 
 
 def test_cross_route_agreement_rational(poly05_n2):

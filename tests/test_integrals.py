@@ -129,14 +129,14 @@ def test_series_rows_and_labels(poly05_n2):
 def test_series_cumulative_is_cached_per_density(poly05_n2):
     a = normalized_sigma_series(poly05_n2, 1)
     b = normalized_sigma_series(poly05_n2, 1, s_grid=np.geomspace(1.0, 50.0, 8))
-    assert ("sigma", 1) in poly05_n2._series_cache
+    assert ("sigma", 1) in poly05_n2._cache
     # same cumulative evaluated on both grids: values at a shared s agree
     s_shared = float(b.s[0])
     i = int(np.argmin(np.abs(a.s - s_shared)))
     assert b.integral[0] == pytest.approx(
         float(
             poly05_n2.c_n
-            * poly05_n2._series_cache[("sigma", 1)](poly05_n2.radius_from_s(s_shared))
+            * poly05_n2._cache[("sigma", 1)](poly05_n2.radius_from_s(s_shared))
         ),
         rel=1e-14,
     )
