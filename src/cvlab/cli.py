@@ -6,8 +6,7 @@ and ``series`` export tables, ``chern`` prints the total Chern-power integral,
 ``report`` bundles a growth verdict with the volume-constant measurement.
 
 Exit codes: 0 success, 1 validation failure, 2 parse/usage error.
-Environment: CVLAB_GRID and CVLAB_TOL override the default grid size and
-adaptive tolerance.
+Environment: CVLAB_GRID overrides the default grid size.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .metric import MetricModel, Representation, fprime_from_xi
 from .quadrature import scalar_like, stencil_derivative
@@ -124,17 +123,28 @@ def _seam_indices(model: MetricModel):
     return np.unique(idx)
 
 
-def dxi_dr(model: MetricModel) -> PchipInterpolator:
-    """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils."""
+def dxi_dr(model: MetricModel):
+    """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils.
+
+    A scipy PCHIP through the stencil values: the cross-check route keeps an
+    interpolant of its own, and scipy loads on its first use.
+    """
     if "dxi_dr" not in model._cache:
+        from scipy.interpolate import PchipInterpolator
+
         table = stencil_derivative(model.xi, model.r, segments=_seam_indices(model))
         model._cache["dxi_dr"] = PchipInterpolator(model.native, table, extrapolate=False)
     return model._cache["dxi_dr"]
 
 
-def fprime_over_x(model: MetricModel) -> tuple[PchipInterpolator, PchipInterpolator]:
-    """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1."""
+def fprime_over_x(model: MetricModel) -> tuple:
+    """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1.
+
+    Two scipy PCHIPs, as in ``dxi_dr``.
+    """
     if "fprime_over_x" not in model._cache:
+        from scipy.interpolate import PchipInterpolator
+
         fp_table = fprime_from_xi(np.clip(model.xi, 0.0, 1.0 - 1e-15))
         fpp_table = stencil_derivative(fp_table, model.x, segments=_seam_indices(model))
         model._cache["fprime_over_x"] = tuple(

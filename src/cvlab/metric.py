@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .families import RawStepSource, SaturationRampSource, SmoothStepSource
 from .profiles import (
@@ -54,6 +53,9 @@ log = logging.getLogger(__name__)
 FLAT_TOL = 1e-10  # sup xi below this counts as flat
 ATTAIN_TOL = 1e-9  # xi within this of 1 at finite radius counts as attained
 LIMIT_TOL = 1e-6  # xi limits below 1 - LIMIT_TOL are safely sub-saturated
+NEWTON_STEPS = 4  # most polishing steps an inverse takes
+RESIDUAL_WARN = 1e-12  # an inverse's final log-residual above this is reported
+FLAT_SLOPE = 1e-9  # d ln q/d ln t below this: the saturated x plateau
 
 
 def ball_coefficient(n: int) -> float:
@@ -114,8 +116,6 @@ class BuildOptions:
         opts = BuildOptions(**overrides)
         if "CVLAB_GRID" in os.environ and "grid_size" not in overrides:
             opts = replace(opts, grid_size=int(os.environ["CVLAB_GRID"]))
-        if "CVLAB_TOL" in os.environ and "quad_rel_tol" not in overrides:
-            opts = replace(opts, quad_rel_tol=float(os.environ["CVLAB_TOL"]))
         return opts
 
 
@@ -136,6 +136,7 @@ def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
 
 
 _as_float = partial(np.asarray, dtype=float)
+_EPS = float(np.finfo(float).eps)
 
 
 def _profile_fn(profile: GeneratorProfile):
@@ -160,7 +161,7 @@ class Engine:
     representation: Representation
     profile: GeneratorProfile
     grid: np.ndarray
-    h0: float
+    h_origin: float  # h(0), which is also f(0)
     parts_of: Callable
     xi_of: Callable
     h_of: Callable
@@ -169,6 +170,7 @@ class Engine:
     r_of: Callable
     x_of: Callable
     vprime_of: Callable
+    sprime_of: Callable
     xi_prime_of: Callable | None = None  # the xi gauge only
     fprime_of: Callable | None = None  # the F gauge only
     fpp_of: Callable | None = None  # the F gauge only
@@ -184,7 +186,7 @@ class Engine:
 
     def f_of(self, t):
         t = _as_float(t)
-        return np.divide(self.v_of(t), self.r_of(t), out=np.full_like(t, self.h0), where=t > 0)
+        return np.divide(self.v_of(t), self.r_of(t), out=np.full_like(t, self.h_origin), where=t > 0)
 
     @property
     def breakpoints_native(self):
@@ -223,12 +225,14 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             exact = profile.source.derivative(_as_float(t))
             return xi_prime_fd(t) if exact is None else _as_float(exact)
 
+        h_origin = opts.h0
     else:  # injected h; xi derived.  Origin-singular h is truncated at the grid floor.
         try:
             eval_profile(profile, 0.0)
         except (ArithmeticError, ProfileDomainError):
             grid = grid[grid > 0]
         h_fn = _profile_fn(profile)
+        h_origin = float(h_fn(0.0)) if grid[0] == 0.0 else math.nan  # f_of(0) is out of range
         xi_prime_of = xi_prime_fd
 
         def xi_fn(t):
@@ -249,7 +253,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     s_u = CumulativeIntegral(lambda u: np.sqrt(h_fn(u * u)), ugrid)
 
     return Engine(
-        Representation.FROM_XI, profile, grid, opts.h0,
+        Representation.FROM_XI, profile, grid, h_origin,
         parts_of=lambda t: (xi_prime_of(t) / h_fn(t), v(t), w(t), xi_fn(t)),
         xi_of=xi_fn,
         h_of=h_fn,
@@ -258,6 +262,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         r_of=_as_float,
         x_of=lambda t: np.sqrt(_as_float(t) * h_fn(t)),
         vprime_of=h_fn,  # dv/dr
+        sprime_of=lambda t: 0.5 * np.sqrt(h_fn(t) / _as_float(t)),  # ds/dr
         xi_prime_of=xi_prime_of,
     )
 
@@ -305,30 +310,72 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         r_of=lambda t: np.square(t) * np.exp(logr(t)) / opts.h0,
         x_of=_as_float,
         vprime_of=lambda t: 2.0 * _as_float(t) * np.hypot(1.0, fp(t)),  # dv/dx
+        sprime_of=lambda t: np.hypot(1.0, fp(t)),  # ds/dx
         fprime_of=fp,
         fpp_of=fpp,
     )
 
 
-class _LogLogInverse:
-    """Native coordinate at given values of an increasing table.
+class _TableInverse:
+    """The native coordinate t at values q of an increasing table q(t).
 
-    Monotone PCHIP of log(native) against log(value) over the positive part
-    of the table; queries are clipped to the tabulated range.
+    Seed: the cubic Hermite of ln t against ln q through the positive table
+    nodes, with the exact node slopes d ln t/d ln q.  An interval where a
+    slope is unbounded (the saturated x plateau), or where the cubic would not
+    be monotone (Fritsch & Carlson's test), is linear as in ``np.interp``.
+    Polish: Newton steps on ln q(t) = ln q, with the seed's own slope and
+    kept inside the bracketing interval, until the log-residual is rounding.
+    Queries are clipped to the tabulated range.
     """
 
-    def __init__(self, values: np.ndarray, native: np.ndarray):
+    def __init__(self, name: str, q_of, values, native, log_slope):
         pos = (values > 0) & (native > 0)
-        lq, lt = np.log(values[pos]), np.log(native[pos])
+        q, t, dq = values[pos], native[pos], log_slope[pos]
         # strictly above every earlier point: a saturated x table only jitters
-        keep = np.concatenate(([True], lq[1:] > np.maximum.accumulate(lq)[:-1]))
-        self._pchip = PchipInterpolator(lq[keep], lt[keep], extrapolate=False)
+        keep = np.concatenate(([True], q[1:] > np.maximum.accumulate(q)[:-1]))
+        self.name, self._q_of = name, q_of
+        self._q, self._t, dq = q[keep], t[keep], dq[keep]
+        self._lq, self._lt = np.log(self._q), np.log(self._t)
+        secant = np.diff(self._lt) / np.diff(self._lq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 / dq  # d ln t/d ln q, infinite where q is flat in t
+            a, b = m[:-1] / secant, m[1:] / secant
+            cubic = (a >= 0) & (b >= 0) & (a * a + b * b <= 9.0)  # False on inf, nan
+        m0, m1 = np.where(cubic, m[:-1], secant), np.where(cubic, m[1:], secant)
+        self._coef = (m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant)
+        self._flat = (dq[:-1] <= FLAT_SLOPE) | (dq[1:] <= FLAT_SLOPE)
 
     def __call__(self, q):
-        """(log q clipped to the table, native coordinate there)."""
-        with np.errstate(divide="ignore"):
-            lq = np.clip(np.log(q), self._pchip.x[0], self._pchip.x[-1])
-        return lq, np.exp(self._pchip(lq))
+        """(native coordinate, final log-residual ln(q(t)/q)) at q."""
+        lq_nodes = self._lq
+        q = np.clip(_as_float(q), self._q[0], self._q[-1])
+        lq = np.log(q)
+        i = np.clip(np.searchsorted(lq_nodes, lq, side="right") - 1, 0, lq_nodes.size - 2)
+        c1, c2, c3 = (c[i] for c in self._coef)
+        d = lq - lq_nodes[i]
+        u = d / (lq_nodes[i + 1] - lq_nodes[i])
+        slope = c1 + u * (2.0 * c2 + 3.0 * u * c3)
+        lo, hi = self._t[i], self._t[i + 1]
+        t = np.clip(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo, hi)
+        for steps in range(NEWTON_STEPS + 1):
+            res = np.log(self._q_of(t) / q)
+            # done at rounding: of q(t), or of t where q is steeper than t
+            done = (np.abs(res) <= 2.0 * _EPS) | (np.abs(slope * res) <= _EPS)
+            if steps == NEWTON_STEPS or np.all(done):
+                break
+            t = np.clip(t * np.exp(-slope * res), lo, hi)
+        self._report(res, i, steps)
+        return t, res
+
+    def _report(self, res, i, steps):
+        worst = float(np.max(np.abs(res), initial=0.0))
+        log.debug("%s inverse: %d point(s), %d Newton step(s), worst log-residual %.3g",
+                  self.name, np.size(res), steps, worst)
+        stuck = (np.abs(res) > RESIDUAL_WARN) & ~self._flat[i]
+        if np.any(stuck):
+            log.warning("%s inverse: log-residual %.3g after %d Newton steps at %d point(s)",
+                        self.name, float(np.max(np.abs(res[stuck]))), steps,
+                        int(np.count_nonzero(stuck)))
 
 
 @dataclass(eq=False)
@@ -363,62 +410,47 @@ class MetricModel:
     def native_end(self) -> float:
         return float(self.engine.grid[-1])
 
-    def _inverse(self, table: str) -> _LogLogInverse:
+    def _inverse(self, table: str) -> _TableInverse:
         """The native coordinate as a function of the ``s``, ``r`` or ``x`` table."""
         key = ("inverse", table)
         if key not in self._cache:
-            self._cache[key] = _LogLogInverse(getattr(self, table), self.native)
+            t = self.native
+            # d ln q/d ln t at the nodes: r = t^2/h on the F gauge, x = sqrt(t h) on the xi gauge
+            with np.errstate(divide="ignore", invalid="ignore"):  # the origin node
+                if table == "s":
+                    log_slope = t * self.engine.sprime_of(t) / self.s
+                elif table == "r":
+                    log_slope = 2.0 / (1.0 - self.xi)
+                else:
+                    log_slope = 0.5 * (1.0 - self.xi)
+            self._cache[key] = _TableInverse(
+                table, getattr(self.engine, f"{table}_of"), getattr(self, table), t, log_slope
+            )
         return self._cache[key]
 
     def radius_from_s(self, s):
-        """Native radius at geodesic distance s (monotone log-log interpolation)."""
+        """Native radius at geodesic distance s."""
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= 0) or np.any(s_arr > self.s[-1] * (1 + 1e-9)):
             raise ValueError(
                 f"distance outside the tabulated range (0, {self.s[-1]:.6g}]"
             )
-        return scalar_like(s, self._inverse("s")(s_arr)[1])
+        return scalar_like(s, self._inverse("s")(s_arr)[0])
 
     def native_from_r(self, r):
-        """Native radius at r = |z|^2: log-log seed, polished by Newton steps."""
+        """Native radius at r = |z|^2."""
         if self.representation is Representation.FROM_XI:
             return np.asarray(r, dtype=float)
-        lr, t = self._inverse("r")(r)
-
-        # r(t) = t^2/h, d ln r / d ln t = 2/(1 - xi), so two or three Newton
-        # corrections take ~1e-5 seed error to rounding
-        def log_step(t, h, xi):
-            return -0.5 * (2.0 * np.log(t) - np.log(h) - lr) * (1.0 - xi)
-
-        return self._newton(t, log_step)
+        return self._inverse("r")(r)[0]
 
     def native_from_x(self, x):
-        """Native radius at transverse radius x (x^2 = r*h), polished like r."""
+        """Native radius at transverse radius x (x^2 = r*h)."""
         if self.representation is Representation.FROM_F:
             return np.asarray(x, dtype=float)
         if np.any(np.asarray(x, dtype=float) > self.x[-1] * (1 + 1e-9)):
             # past saturation no radius has this x
             raise ValueError(f"transverse radius beyond the tabulated x <= {self.x[-1]:.6g}")
-        lx, t = self._inverse("x")(x)
-
-        # x(t) = sqrt(t h), d ln x / d ln t = (1 - xi)/2; skip the correction
-        # where xi has saturated (x is constant there, the seed is all there is)
-        def log_step(t, h, xi):
-            slope = 0.5 * (1.0 - xi)
-            resid = 0.5 * (np.log(t) + np.log(h)) - lx
-            return -np.where(slope > 1e-9, resid / np.maximum(slope, 1e-9), 0.0)
-
-        return self._newton(t, log_step)
-
-    def _newton(self, t, log_step):
-        """Three corrections t *= exp(log_step(t, h, xi)), kept inside the grid."""
-        lo = float(np.min(self.native[self.native > 0]))
-        hi = float(self.native[-1])
-        for _ in range(3):
-            t = np.clip(t, lo, hi)
-            step = log_step(t, self.engine.h_of(t), self.engine.xi_of(t))
-            t = t * np.exp(np.clip(step, -0.5, 0.5))
-        return np.clip(t, lo, hi)
+        return self._inverse("x")(x)[0]
 
     def describe(self) -> dict:
         cls = self.classification
@@ -589,7 +621,11 @@ def save_metric(model: MetricModel, path) -> None:
 
 
 def load_metric(path) -> MetricModel:
-    """Rebuild a saved model; bit-identical to it on the same numpy/scipy build."""
+    """Rebuild a saved model; bit-identical to it on the same numpy build.
+
+    A sampled generator is interpolated by scipy's PCHIP, so a sampled model
+    is bit-identical on the same scipy build too.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     schema = doc.get("schema")

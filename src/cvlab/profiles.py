@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .expr import Expr, evaluate, evaluate_derivative, parse_expression, to_source
 
@@ -149,6 +148,8 @@ class SampledSource(ProfileSource):
             raise ProfileError("samples must be two equal-length 1-d arrays with >= 2 rows")
         if ts[0] < 0 or np.any(np.diff(ts) <= 0):
             raise ProfileError("sample abscissae must be nonnegative and strictly increasing")
+        from scipy.interpolate import PchipInterpolator  # loaded by sampled profiles only
+
         self.ts = ts
         self.values = values
         self._interp = PchipInterpolator(ts, values, extrapolate=False)

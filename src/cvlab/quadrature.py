@@ -11,16 +11,19 @@ boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
 t=0) are safe as long as the grid starts at the endpoint.
 
 One-off integrals with a requested tolerance go through adaptive QUADPACK
-(`scipy.integrate.quad`) with explicit breakpoints.
+(`scipy.integrate.quad`) with explicit breakpoints; scipy is imported on the
+first such call, so the tables need numpy only.
 """
 
 from __future__ import annotations
 
+import logging
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
-from scipy import integrate
+
+log = logging.getLogger(__name__)
 
 
 class QuadratureError(RuntimeError):
@@ -125,8 +128,11 @@ def adaptive_integral(
     """Adaptive integral of f over [a, b] to a relative tolerance.
 
     Raises QuadratureError when the adaptive subdivision gives up; the
-    achieved error estimate rides along on the exception.
+    achieved error estimate rides along on the exception.  On success it is
+    logged at DEBUG.
     """
+    from scipy import integrate
+
     pts = None
     limit = 200
     if breakpoints is not None:
@@ -147,6 +153,8 @@ def adaptive_integral(
             f"(achieved abs error {err:.3e})",
             achieved=err,
         )
+    log.debug("quadrature on [%.6g, %.6g]: %d evaluations, achieved abs error %.3g",
+              a, b, res[2]["neval"], err)
     return value
 
 

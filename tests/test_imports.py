@@ -1,0 +1,63 @@
+"""The model path imports numpy only; scipy loads on demand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cvlab
+
+SCRIPT = r"""
+import contextlib
+import io
+import sys
+
+import numpy as np
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def assert_scipy_free(step):
+    assert not scipy_loaded(), f"{step} imported {scipy_loaded()[:5]}"
+
+
+import cvlab
+import cvlab.cli
+from cvlab import curvature, growth, integrals
+
+assert_scipy_free("import cvlab, cvlab.cli")
+
+poly = cvlab.build_metric(cvlab.polynomial_xi(0.5), 2)
+integrals.normalized_sigma_series(poly, 2)
+integrals.chern_number(poly)
+growth.coordinate_growth(poly)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cvlab.cli.main(["chern", "--family", "poly", "--param", "a=0.5", "--n", "2"]) == 0
+assert_scipy_free("the poly model path")
+
+yau = cvlab.yau_counterexample(3, 2, l_max=32)
+integrals.distance_s(yau, x=8.0)
+integrals.mixed_curvature_ibp(yau, 2)
+assert_scipy_free("the yau n=3 model path")
+
+# the three users of scipy still work, and load it
+assert integrals.ball_integral(poly, integrals.scalar_density(poly), 1.0) > 0.0
+assert all(np.isfinite(curvature.abc_at_x(poly, 1.0)))
+sampled = cvlab.SampledSource(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.25, 0.5]))
+assert sampled(1.5) == 0.375
+assert "scipy.integrate" in sys.modules and "scipy.interpolate" in sys.modules
+print("ok")
+"""
+
+
+def test_model_path_is_scipy_free_until_a_scipy_user_runs(tmp_path):
+    env = dict(os.environ)
+    root = str(Path(cvlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import asdict
 
@@ -20,8 +21,10 @@ from cvlab.families import (
     step_profile,
     yau_counterexample,
 )
+from cvlab import metric as metric_module
 from cvlab.integrals import (
     chern_number,
+    default_s_grid,
     distance_s,
     mixed_curvature_ibp,
     normalized_sigma_series,
@@ -234,6 +237,16 @@ def test_injected_h_recovers_xi():
     assert np.allclose(m.xi[1:], want, atol=2e-6)
 
 
+def test_injected_h_sets_f_at_the_origin():
+    # f = v/r tends to h(0), which an injected h need not share with BuildOptions.h0
+    p = GeneratorProfile(GeneratorKind.H, ClosedFormSource("2 * (1 + t) ^ -0.5"))
+    m = build_metric(p, 2)
+    assert m.native[0] == 0.0 and m.options.h0 == 1.0
+    assert m.h[0] == 2.0 and m.f[0] == 2.0
+    assert m.f[1] == pytest.approx(2.0, rel=1e-8)
+    assert m.engine.f_of(0.0) == 2.0
+
+
 # ---------------------------------------------------------------------------
 # model mechanics
 
@@ -260,6 +273,60 @@ def test_radius_from_s_round_trip(poly05_n2):
         m.radius_from_s(0.0)
 
 
+def _round_trip_points(table):
+    """Both ends of the positive table, its nodes and the log-midpoints between them."""
+    q = table[table > 0]
+    mid = np.sqrt(q[1:] * q[:-1])
+    return np.concatenate(([q[0], q[-1]], q[:: max(1, q.size // 512)], mid[:: max(1, q.size // 512)]))
+
+
+@pytest.mark.parametrize("fixture", ["poly05_n2", "s3_n2", "yau_n3"])
+def test_radius_from_s_is_polished_to_rounding(fixture, request, caplog):
+    m = request.getfixturevalue(fixture)
+    s = np.concatenate((_round_trip_points(m.s), default_s_grid(m)))
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        t = m.radius_from_s(s)
+        one = [m.radius_from_s(float(q)) for q in s[:40]]
+    assert np.max(np.abs(m.engine.s_of(t) / s - 1.0)) <= 1e-13
+    assert np.max(np.abs(m.engine.s_of(np.array(one)) / s[:40] - 1.0)) <= 1e-13
+    assert not caplog.records
+
+
+def test_native_from_r_and_x_are_polished_to_rounding(poly05_n2, yau_n3, caplog):
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        r = _round_trip_points(yau_n3.r)
+        assert np.max(np.abs(yau_n3.engine.r_of(yau_n3.native_from_r(r)) / r - 1.0)) <= 1e-13
+        x = _round_trip_points(poly05_n2.x)
+        assert np.max(np.abs(poly05_n2.engine.x_of(poly05_n2.native_from_x(x)) / x - 1.0)) <= 1e-13
+    assert not caplog.records
+
+
+def test_native_from_x_on_the_saturated_plateau(s3_n2, caplog):
+    m, x0 = s3_n2, s3_n2.classification.x0
+    x = np.array([0.5 * x0, x0 * (1.0 - 1e-9), x0, float(m.x[-1])])
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        t = m.native_from_x(x)
+    assert np.max(np.abs(m.engine.x_of(t) / x - 1.0)) <= 1e-13
+    assert not caplog.records
+    # past saturation no radius has this x
+    with pytest.raises(ValueError, match="beyond the tabulated x"):
+        m.native_from_x(x0 * 1.01)
+
+
+def test_inverse_reports_its_residual(monkeypatch, caplog):
+    # unpolished on a coarse grid, the Hermite seed is close but not at
+    # rounding: the residual comes back with the radius and a large one is logged
+    m = build_metric(polynomial_xi(0.5), 2, BuildOptions(grid_size=128))
+    monkeypatch.setattr(metric_module, "NEWTON_STEPS", 0)
+    s = np.geomspace(m.s[1], m.s[-1], 301)
+    with caplog.at_level(logging.DEBUG, logger="cvlab.metric"):
+        t, res = m._inverse("s")(s)
+    assert np.array_equal(res, np.log(m.engine.s_of(t) / s))
+    assert 1e-12 < np.max(np.abs(res)) < 1e-6
+    levels = {rec.levelname for rec in caplog.records if "s inverse" in rec.getMessage()}
+    assert levels == {"DEBUG", "WARNING"}
+
+
 def test_refinement_stability():
     coarse = build_metric(polynomial_xi(0.5), 2)
     fine = build_metric(polynomial_xi(0.5), 2, BuildOptions(grid_size=8192))
@@ -283,10 +350,8 @@ def test_describe_contains_the_essentials(poly05_n2):
 
 def test_build_options_from_env(monkeypatch):
     monkeypatch.setenv("CVLAB_GRID", "1024")
-    monkeypatch.setenv("CVLAB_TOL", "1e-6")
     opts = BuildOptions.from_env()
     assert opts.grid_size == 1024
-    assert opts.quad_rel_tol == 1e-6
     override = BuildOptions.from_env(grid_size=2048)
     assert override.grid_size == 2048
 

@@ -1,12 +1,13 @@
 """CumulativeIntegral: a table of node data that answers every query itself."""
 
 import gc
+import logging
 import weakref
 
 import numpy as np
 import pytest
 
-from cvlab.quadrature import CumulativeIntegral
+from cvlab.quadrature import CumulativeIntegral, adaptive_integral
 
 # uneven cells, the first one at the origin
 GRID = np.array([0.0, 0.3, 0.45, 1.0, 1.7, 2.0])
@@ -61,3 +62,11 @@ def test_queries_outside_the_grid_raise(t):
     table = CumulativeIntegral(np.cos, GRID)
     with pytest.raises(ValueError, match="outside"):
         table(t)
+
+
+def test_adaptive_integral_logs_its_achieved_error(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cvlab.quadrature"):
+        value = adaptive_integral(np.cos, 0.0, 1.0, breakpoints=[0.5])
+    assert value == pytest.approx(np.sin(1.0), rel=1e-14)
+    (record,) = caplog.records
+    assert "achieved abs error" in record.getMessage() and record.levelname == "DEBUG"
