@@ -102,18 +102,17 @@ def amplitude_power_density(model: MetricModel, p: float):
 def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None = None) -> float:
     """Integral of a pointwise density over the geodesic ball B(s).
 
-    ``density`` maps native radii to values of the same shape (QUADPACK
-    queries one point at a time, as a scalar); the volume element
-    n v^(n-1) v' and the c_n factor are supplied here.  Adaptive quadrature
-    with the profile's breakpoints; raises QuadratureError on failure.
+    ``density`` maps an array of native radii to values of the same shape;
+    the volume element n v^(n-1) v' and the c_n factor are supplied here.
+    Adaptive quadrature, started on the profile's breakpoints, evaluates the
+    integrand on one array per refinement round; raises QuadratureError on
+    failure.
     """
     n = model.n
     t_end = float(model.radius_from_s(float(s)))
 
     def integrand(t):
-        v = model.engine.v_of(t)  # a Python float at scalar t: powers via np.power
-        val = density(t) * n * np.power(v, n - 1) * model.engine.vprime_of(t)
-        return scalar_like(t, val)
+        return density(t) * n * np.power(model.engine.v_of(t), n - 1) * model.engine.vprime_of(t)
 
     tol = rel_tol if rel_tol is not None else model.options.quad_rel_tol
     bps = np.asarray(model.engine.breakpoints_native, dtype=float)

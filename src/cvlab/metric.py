@@ -325,7 +325,9 @@ class _TableInverse:
     be monotone (Fritsch & Carlson's test), is linear as in ``np.interp``.
     Polish: Newton steps on ln q(t) = ln q, with the seed's own slope and
     kept inside the bracketing interval, until the log-residual is rounding.
-    Queries are clipped to the tabulated range.
+    The origin answers q = 0.  Between the origin and the first positive
+    node q1 the table has no data, so a query there raises ValueError; a
+    query past the last node is clipped to it.
     """
 
     def __init__(self, name: str, q_of, values, native, log_slope):
@@ -347,8 +349,12 @@ class _TableInverse:
 
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
-        lq_nodes = self._lq
-        q = np.clip(_as_float(q), self._q[0], self._q[-1])
+        lq_nodes, q = self._lq, _as_float(q)
+        origin = q == 0
+        if np.any((q < self._q[0]) & ~origin):
+            raise ValueError(f"{self.name} = {np.min(q[~origin]):.6g} is below the first positive "
+                             f"table node {self.name}1 = {self._q[0]:.6g}")
+        q = np.clip(q, self._q[0], self._q[-1])
         lq = np.log(q)
         i = np.clip(np.searchsorted(lq_nodes, lq, side="right") - 1, 0, lq_nodes.size - 2)
         c1, c2, c3 = (c[i] for c in self._coef)
@@ -364,6 +370,8 @@ class _TableInverse:
             if steps == NEWTON_STEPS or np.all(done):
                 break
             t = np.clip(t * np.exp(-slope * res), lo, hi)
+        if np.any(origin):
+            t, res = np.where(origin, 0.0, t), np.where(origin, 0.0, res)
         self._report(res, i, steps)
         return t, res
 

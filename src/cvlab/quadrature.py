@@ -1,18 +1,15 @@
 """Quadrature and finite-difference helpers shared by the metric machinery.
 
-Radial quantities (h, f, s, v, ...) are cumulative integrals of smooth or
-piecewise-smooth integrands over a fixed master grid.  A table calls its
-integrand once, at fixed-order Gauss-Legendre nodes in each grid cell, and
-keeps data only: the cumulative value at every node and, per cell, the
-Legendre coefficients of the antiderivative of the interpolant through the
-cell's node values.  A query adds that antiderivative to its cell's left
-value and never calls the integrand again.  Cells never place nodes on the
-boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
-t=0) are safe as long as the grid starts at the endpoint.
+Radial quantities (h, f, s, v, ...) are cumulative tables over a fixed master
+grid (`CumulativeIntegral`): the integrand runs once, at Gauss-Legendre nodes
+in each cell, and a query reads its cell's stored antiderivative.  Cells never
+place nodes on the boundary, so integrands with removable endpoint behaviour
+(e.g. xi(t)/t at t=0) are safe as long as the grid starts at the endpoint.
 
-One-off integrals with a requested tolerance go through adaptive QUADPACK
-(`scipy.integrate.quad`) with explicit breakpoints; scipy is imported on the
-first such call, so the tables need numpy only.
+One-off integrals to a requested tolerance (a single ball) go through
+`adaptive_integral`: Gauss-Legendre bisection from the breakpoints, whose
+integrand runs once per round, on the nodes of every interval still being
+refined.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -25,6 +22,9 @@ from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 log = logging.getLogger(__name__)
 
+ADAPTIVE_ORDER = 15  # nodes of each Gauss-Legendre rule in adaptive_integral
+MAX_SPLITS = 2000  # bisections before adaptive_integral gives up
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -34,9 +34,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(order)
+_gl_rule = lru_cache(maxsize=8)(leggauss)  # order -> (nodes, weights) on [-1, 1]
 
 
 @lru_cache(maxsize=8)
@@ -47,6 +45,15 @@ def _antiderivative_matrix(order: int) -> np.ndarray:
     k = np.arange(order)[:, None]
     transform = (k + 0.5) * w * legvander(x, order - 1).T
     return legint(transform, lbnd=-1).T
+
+
+def _gauss_rules(f, lo, hi, order: int = ADAPTIVE_ORDER):
+    """(node values, rule sums) of f on every [lo, hi] pair, any shape, in one call."""
+    xg, wg = _gl_rule(order)
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[..., None] + half[..., None] * xg
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return vals, half * (vals @ wg)
 
 
 def scalar_like(t, out):
@@ -84,12 +91,7 @@ class CumulativeIntegral:
             raise ValueError("grid must be strictly increasing")
         self.grid = grid
         self.order = order
-        xg, wg = _gl_rule(order)
-        a = grid[:-1]
-        half = 0.5 * np.diff(grid)
-        nodes = (a + half)[:, None] + half[:, None] * xg[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        cell = half * (vals @ wg)
+        vals, cell = _gauss_rules(f, grid[:-1], grid[1:], order)
         self.values = np.concatenate([[0.0], np.cumsum(cell)])
         self._coef = (vals @ _antiderivative_matrix(order)).T
 
@@ -117,45 +119,43 @@ class CumulativeIntegral:
         return float(self.values[-1])
 
 
-def adaptive_integral(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    abs_floor: float = 1e-14,
-    breakpoints=None,
-) -> float:
-    """Adaptive integral of f over [a, b] to a relative tolerance.
+def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: float = 1e-14,
+                      breakpoints=None) -> float:
+    """Adaptive integral of f (1-d float array in, same shape out) over [a, b].
 
-    Raises QuadratureError when the adaptive subdivision gives up; the
-    achieved error estimate rides along on the exception.  On success it is
-    logged at DEBUG.
+    An interval I counts G(L) + G(R) with the estimate |G(I) - G(L) - G(R)|, and is done
+    when that is within rel_tol of its value or its width's share of max(abs_floor,
+    rel_tol |total|); the others are bisected.  Raises QuadratureError, with the achieved
+    error estimate, after MAX_SPLITS bisections, when a midpoint no longer separates its
+    ends, or on a non-finite estimate; on success that estimate is logged at DEBUG.
     """
-    from scipy import integrate
-
-    pts = None
-    limit = 200
-    if breakpoints is not None:
-        pts = np.asarray(breakpoints, dtype=float)
-        pts = np.unique(pts[(pts > a) & (pts < b)])
-        if pts.size == 0:
-            pts = None
-        else:
-            limit = max(limit, 2 * pts.size + 50)
-    res = integrate.quad(
-        f, a, b, epsabs=abs_floor, epsrel=rel_tol, limit=limit,
-        points=pts, full_output=1,
-    )
-    value, err = res[0], res[1]
-    if len(res) > 3:
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] did not converge: {res[3]} "
-            f"(achieved abs error {err:.3e})",
-            achieved=err,
-        )
-    log.debug("quadrature on [%.6g, %.6g]: %d evaluations, achieved abs error %.3g",
-              a, b, res[2]["neval"], err)
-    return value
+    inner = np.array([] if breakpoints is None else breakpoints, dtype=float).ravel()
+    edges = np.concatenate(([a], np.unique(inner[(inner > a) & (inner < b)]), [b]))
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = _gauss_rules(f, np.array([lo, lo, mid]), np.array([hi, mid, hi]))[1]
+    rounds, splits, total, achieved = 1, 0, 0.0, 0.0
+    while True:
+        value = left + right
+        err = np.abs(coarse - value)
+        tol = max(abs_floor, rel_tol * abs(total + np.sum(value)))
+        split = ~(err <= np.maximum(rel_tol * np.abs(value), tol * (hi - lo) / (b - a)))
+        total += float(np.sum(value[~split]))
+        achieved += float(np.sum(err[~split]))
+        if not np.any(split):
+            break
+        splits += int(np.count_nonzero(split))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        coarse, mid = np.concatenate((left[split], right[split])), 0.5 * (lo + hi)
+        if splits > MAX_SPLITS or np.any((mid == lo) | (mid == hi)) or not np.all(np.isfinite(err)):
+            achieved += float(np.sum(err[split]))
+            raise QuadratureError(f"quadrature on [{a}, {b}] did not converge in {rounds} rounds "
+                                  f"(achieved abs error {achieved:.3e})", achieved=achieved)
+        left, right = _gauss_rules(f, np.array([lo, mid]), np.array([mid, hi]))[1]
+        rounds += 1
+    log.debug("quadrature on [%.6g, %.6g]: %d rounds, %d points, achieved abs error %.3g", a, b,
+              rounds, (3 * (edges.size - 1) + 4 * splits) * ADAPTIVE_ORDER, achieved)
+    return total
 
 
 def derivative_fd(f, t, rel_step: float = 1e-6):

@@ -88,6 +88,24 @@ def test_average_scalar_curvature_positive_and_decaying(poly05_n2):
     assert avgs[0] > avgs[1] > avgs[2] > 0.0
 
 
+@pytest.mark.parametrize("shape", ["rational", "exponential"])
+@pytest.mark.parametrize("a", [0.3, 0.7])
+def test_far_single_balls_agree_with_the_series(a, shape):
+    # no breakpoints across up to seven decades: the adaptive route must find
+    # the features near the origin itself
+    m = build_metric(polynomial_xi(a, shape), 2)
+    s = np.array([distance_s(m, r=r) for r in (5e4, 1e6, 1e7)])
+    series = average_scalar_series(m, s_grid=s).normalized
+    single = [average_scalar_curvature(m, float(q)) for q in s]
+    np.testing.assert_allclose(single, series, rtol=1e-12, atol=0.0)
+
+
+def test_single_ball_on_an_exponential_profile_past_r_5e4():
+    m = build_metric(polynomial_xi(0.2754, "exponential"), 2)
+    series = average_scalar_series(m, s_grid=np.array([81.2])).normalized[0]
+    assert average_scalar_curvature(m, 81.2) == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
 def test_ball_integral_raises_on_hopeless_density(poly05_n2):
     def noisy(t):
         return np.sin(1.0 / (np.asarray(t, dtype=float) + 1e-9))

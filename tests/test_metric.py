@@ -313,6 +313,21 @@ def test_native_from_x_on_the_saturated_plateau(s3_n2, caplog):
         m.native_from_x(x0 * 1.01)
 
 
+def test_inverses_refuse_queries_between_the_origin_and_the_first_node(poly05_n2, yau_n3):
+    # the tables hold no data there: a query used to come back as the first node
+    m, s1, x1, r1 = poly05_n2, poly05_n2.s[1], poly05_n2.x[1], yau_n3.r[1]
+    with pytest.raises(ValueError, match=f"s1 = {s1:.6g}"):
+        m.radius_from_s(0.1 * s1)
+    with pytest.raises(ValueError, match=f"x1 = {x1:.6g}"):
+        m.native_from_x(np.array([0.0, 0.1 * x1, 1.0]))
+    with pytest.raises(ValueError, match=f"r1 = {r1:.6g}"):
+        yau_n3.native_from_r(0.5 * r1)
+    # the origin answers q = 0 exactly, alone or in a batch
+    assert m.native_from_x(0.0) == 0.0 and yau_n3.native_from_r(0.0) == 0.0
+    t = yau_n3.native_from_r(np.array([0.0, r1]))
+    assert t[0] == 0.0 and t[1] == pytest.approx(yau_n3.native[1], rel=1e-13)
+
+
 def test_inverse_reports_its_residual(monkeypatch, caplog):
     # unpolished on a coarse grid, the Hermite seed is close but not at
     # rounding: the residual comes back with the radius and a large one is logged

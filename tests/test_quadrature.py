@@ -1,4 +1,5 @@
-"""CumulativeIntegral: a table of node data that answers every query itself."""
+"""CumulativeIntegral, a table of node data that answers every query itself, and
+adaptive_integral, which hands its integrand one array per round."""
 
 import gc
 import logging
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cvlab.quadrature import CumulativeIntegral, adaptive_integral
+from cvlab.quadrature import CumulativeIntegral, QuadratureError, adaptive_integral
 
 # uneven cells, the first one at the origin
 GRID = np.array([0.0, 0.3, 0.45, 1.0, 1.7, 2.0])
@@ -70,3 +71,28 @@ def test_adaptive_integral_logs_its_achieved_error(caplog):
     assert value == pytest.approx(np.sin(1.0), rel=1e-14)
     (record,) = caplog.records
     assert "achieved abs error" in record.getMessage() and record.levelname == "DEBUG"
+
+
+def test_adaptive_integrand_sees_1d_float_arrays_a_bounded_number_of_times():
+    seen = []
+
+    def integrand(t):
+        seen.append((type(t), t.ndim, t.dtype))
+        return 1.0 / (1.0 + t) ** 2
+
+    value = adaptive_integral(integrand, 0.0, 1e8, rel_tol=1e-10)
+    assert value == pytest.approx(1.0 - 1.0 / (1.0 + 1e8), rel=1e-10)
+    assert set(seen) == {(np.ndarray, 1, np.dtype(float))}
+    # one call per round: about 27 halvings take [0, 1e8] down to unit width
+    assert len(seen) <= 40
+
+
+def test_adaptive_integral_takes_a_kink_at_a_breakpoint():
+    value = adaptive_integral(lambda t: np.abs(t - 0.3), 0.0, 1.0, breakpoints=[0.3, 2.0])
+    assert value == pytest.approx(0.29, rel=4e-16)
+
+
+def test_adaptive_integral_raises_on_a_non_finite_integrand():
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_integral(lambda t: np.where(t < 0.5, t, np.nan), 0.0, 1.0)
+    assert np.isnan(exc.value.achieved)
