@@ -57,9 +57,9 @@ from cvlab.integrals import (
 POINTS = 50
 TABLES = ("native", "r", "x", "h", "f", "xi", "v", "s")
 XI_METHODS = ("xi_of", "h_of", "v_of", "f_of", "s_of", "r_of", "x_of",
-              "vprime_of", "xi_prime_of", "abc_of")
+              "xi_prime_of", "abc_of", "curvature_of")
 F_METHODS = ("fprime_of", "fpp_of", "xi_of", "v_of", "s_of", "r_of", "x_of",
-             "h_of", "f_of", "vprime_of", "abc_of")
+             "h_of", "f_of", "abc_of", "curvature_of")
 
 
 def models():

@@ -2,10 +2,12 @@
 
 The volume element of a rotation-invariant metric in the radial coordinate is
 d(Vol) = c_n d(v^n) with v = r*f, so every ball integral here is a 1-d
-integral of  density * n * v^(n-1) * v'  in the native coordinate.  Series
+integral of  density * n * v^(n-1) * v'  in the native coordinate.  A
+density is a function of the curvature components (A, B, C); one engine
+pass, ``Engine.curvature_of``, gives them together with v and v'.  Series
 over a log-spaced set of ball radii share one cached cumulative integral per
-(model, density) pair, so a 64-point series costs one pass over the master
-grid.
+(model, density key) pair, so a 64-point series costs one pass over the
+master grid.
 
 Normalizations:
 
@@ -50,49 +52,48 @@ def volume_ball(model: MetricModel, s):
 
 
 # ---------------------------------------------------------------------------
-# densities (callables of the native radius)
+# densities (functions of the curvature components A, B, C)
 
 
 def scalar_density(model: MetricModel):
     n = model.n
-
-    def density(t):
-        A, B, C = model.engine.abc_of(t)
-        return scalar_curvature(A, B, C, n)
-
-    return density
+    return lambda A, B, C: scalar_curvature(A, B, C, n)
 
 
 def sigma_density(model: MetricModel, k: int):
     n = model.n
     sigma_k(0.0, 0.0, n, k)  # validate k early
-
-    def density(t):
-        A, B, C = model.engine.abc_of(t)
-        lam, mu = ricci_eigenvalues(A, B, C, n)
-        return sigma_k(lam, mu, n, k)
-
-    return density
+    return lambda A, B, C: sigma_k(*ricci_eigenvalues(A, B, C, n), n, k)
 
 
 def chern_power_density(model: MetricModel, k: int):
     n = model.n
     chern_density_k(0.0, 0.0, n, k)
-
-    def density(t):
-        A, B, C = model.engine.abc_of(t)
-        lam, mu = ricci_eigenvalues(A, B, C, n)
-        return chern_density_k(lam, mu, n, k)
-
-    return density
+    return lambda A, B, C: chern_density_k(*ricci_eigenvalues(A, B, C, n), n, k)
 
 
 def amplitude_power_density(model: MetricModel, p: float):
-    def density(t):
-        A, _, _ = model.engine.abc_of(t)
-        return np.power(np.abs(A), p)
+    return lambda A, B, C: np.power(np.abs(A), p)
 
-    return density
+
+# a cumulative's cache key names its density: ("sigma", k), ("chern", k), ("lp", p), ("scalar",)
+_DENSITIES = {
+    "scalar": scalar_density,
+    "sigma": sigma_density,
+    "chern": chern_power_density,
+    "lp": amplitude_power_density,
+}
+
+
+def _ball_integrand(model: MetricModel, density):
+    """density * n v^(n-1) v' at native radii: c_n times its integral is the ball's."""
+    n, curvature_of = model.n, model.engine.curvature_of
+
+    def integrand(t):
+        A, B, C, v, dv = curvature_of(t)
+        return density(A, B, C) * n * v ** (n - 1) * dv
+
+    return integrand
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +103,16 @@ def amplitude_power_density(model: MetricModel, p: float):
 def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None = None) -> float:
     """Integral of a pointwise density over the geodesic ball B(s).
 
-    ``density`` maps an array of native radii to values of the same shape;
-    the volume element n v^(n-1) v' and the c_n factor are supplied here.
-    Adaptive quadrature, started on the profile's breakpoints, evaluates the
-    integrand on one array per refinement round; raises QuadratureError on
-    failure.
+    ``density`` maps arrays A, B, C of the curvature components to values of
+    the same shape; the volume element n v^(n-1) v' and the c_n factor are
+    supplied here.  Adaptive quadrature, started on the profile's
+    breakpoints, evaluates the integrand on one array per refinement round;
+    raises QuadratureError on failure.
     """
-    n = model.n
     t_end = float(model.radius_from_s(float(s)))
-
-    def integrand(t):
-        return density(t) * n * np.power(model.engine.v_of(t), n - 1) * model.engine.vprime_of(t)
-
     tol = rel_tol if rel_tol is not None else model.options.quad_rel_tol
     bps = np.asarray(model.engine.breakpoints_native, dtype=float)
+    integrand = _ball_integrand(model, density)
     return model.c_n * adaptive_integral(integrand, 0.0, t_end, rel_tol=tol, breakpoints=bps)
 
 
@@ -149,16 +146,12 @@ class BallIntegralSeries:
         return zip(self.s, self.volume, self.integral, self.normalized)
 
 
-def _density_cumulative(model: MetricModel, key, density) -> CumulativeIntegral:
+def _density_cumulative(model: MetricModel, key) -> CumulativeIntegral:
+    """The cached cumulative ball integral (over c_n) of the density ``key`` names."""
     cache = model._cache
     if key not in cache:
-        n = model.n
-
-        def integrand(t):
-            v = model.engine.v_of(t)
-            return density(t) * n * v ** (n - 1) * model.engine.vprime_of(t)
-
-        cache[key] = CumulativeIntegral(integrand, model.native)
+        density = _DENSITIES[key[0]](model, *key[1:])
+        cache[key] = CumulativeIntegral(_ball_integrand(model, density), model.native)
     return cache[key]
 
 
@@ -170,27 +163,30 @@ def default_s_grid(model: MetricModel, points: int | None = None) -> np.ndarray:
     return np.geomspace(s_lo, s_hi, pts)
 
 
-def _series_skeleton(model, s_grid):
+def _series(model, key, s_grid, label, normalize, scale=1.0, k=None, p=None):
+    """The ball integrals (over ``scale``) of the density ``key`` names, at radii
+    ``s_grid``; ``normalize(s, volume, integral)`` gives the growth normalization."""
     s_arr = np.asarray(s_grid if s_grid is not None else default_s_grid(model), dtype=float)
     t_arr = model.radius_from_s(s_arr)
-    return s_arr, t_arr, model.c_n * model.engine.v_of(t_arr) ** model.n
-
-
-def normalized_sigma_series(model: MetricModel, k: int, s_grid=None) -> BallIntegralSeries:
-    """integral of sigma_k over B(s), divided by s^(2n-2k)."""
-    s_arr, t_arr, vol = _series_skeleton(model, s_grid)
-    cum = _density_cumulative(model, ("sigma", k), sigma_density(model, k))
-    integral = model.c_n * cum(t_arr)
-    power = 2 * (model.n - k)
+    vol = model.c_n * model.engine.v_of(t_arr) ** model.n
+    integral = model.c_n * _density_cumulative(model, key)(t_arr) / scale
     return BallIntegralSeries(
         s=s_arr,
         volume=vol,
         integral=integral,
-        normalized=integral / s_arr**power,
-        label=f"sigma_{k} ball integral / s^{power}",
+        normalized=normalize(s_arr, vol, integral),
+        label=label,
         n=model.n,
         k=k,
+        p=p,
     )
+
+
+def normalized_sigma_series(model: MetricModel, k: int, s_grid=None) -> BallIntegralSeries:
+    """integral of sigma_k over B(s), divided by s^(2n-2k)."""
+    power = 2 * (model.n - k)
+    return _series(model, ("sigma", k), s_grid, f"sigma_{k} ball integral / s^{power}",
+                   lambda s, vol, integral: integral / s**power, k=k)
 
 
 def normalized_chern_series(model: MetricModel, k: int, s_grid=None) -> BallIntegralSeries:
@@ -199,51 +195,22 @@ def normalized_chern_series(model: MetricModel, k: int, s_grid=None) -> BallInte
     The 1/pi^k matches the normalization that makes the k = n member equal
     the total Chern-power integral.
     """
-    s_arr, t_arr, vol = _series_skeleton(model, s_grid)
-    cum = _density_cumulative(model, ("chern", k), chern_power_density(model, k))
-    integral = model.c_n * cum(t_arr) / np.pi**k
     power = 2 * (model.n - k)
-    return BallIntegralSeries(
-        s=s_arr,
-        volume=vol,
-        integral=integral,
-        normalized=integral / s_arr**power,
-        label=f"chern_{k} ball integral / (pi^{k} s^{power})",
-        n=model.n,
-        k=k,
-    )
+    return _series(model, ("chern", k), s_grid, f"chern_{k} ball integral / (pi^{k} s^{power})",
+                   lambda s, vol, integral: integral / s**power, scale=np.pi**k, k=k)
 
 
 def lp_curvature_series(model: MetricModel, p: float, s_grid=None) -> BallIntegralSeries:
     """s^2 times the ball average of |A|^p (radial-curvature L^p comparison)."""
     if p <= 1.0:
         raise ValueError("lp comparison needs p > 1")
-    s_arr, t_arr, vol = _series_skeleton(model, s_grid)
-    cum = _density_cumulative(model, ("lp", p), amplitude_power_density(model, p))
-    integral = model.c_n * cum(t_arr)
-    return BallIntegralSeries(
-        s=s_arr,
-        volume=vol,
-        integral=integral,
-        normalized=s_arr**2 * integral / vol,
-        label=f"s^2 * ball average of |A|^{p:g}",
-        n=model.n,
-        p=p,
-    )
+    return _series(model, ("lp", p), s_grid, f"s^2 * ball average of |A|^{p:g}",
+                   lambda s, vol, integral: s**2 * integral / vol, p=p)
 
 
 def average_scalar_series(model: MetricModel, s_grid=None) -> BallIntegralSeries:
-    s_arr, t_arr, vol = _series_skeleton(model, s_grid)
-    cum = _density_cumulative(model, ("scalar",), scalar_density(model))
-    integral = model.c_n * cum(t_arr)
-    return BallIntegralSeries(
-        s=s_arr,
-        volume=vol,
-        integral=integral,
-        normalized=integral / vol,
-        label="ball average of scalar curvature",
-        n=model.n,
-    )
+    return _series(model, ("scalar",), s_grid, "ball average of scalar curvature",
+                   lambda s, vol, integral: integral / vol)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +235,7 @@ def chern_number(model: MetricModel) -> ChernTotal:
     integrands (the generic case) cost nothing in accuracy.
     """
     n = model.n
-    cum = _density_cumulative(model, ("chern", n), chern_power_density(model, n))
+    cum = _density_cumulative(model, ("chern", n))
     numeric = float(cum.total)
     end = model.native[-1]
     xi_end = float(model.engine.xi_of(end))

@@ -153,9 +153,11 @@ def _xi_of_fprime(fp):
 class Engine:
     """A gauge's tables and profile callables, in its native coordinate.
 
-    ``parts_of(t)`` gives (A, v, w, xi), each table read once (xi last: read
-    first, it doubled a batched call's page faults); the (A, B, C) algebra,
-    f = v/r and the breakpoints are written once on top of it.
+    ``parts_of(t)`` gives (A, v, w, xi, v'), each table read once (xi last:
+    read first, it doubled a batched call's page faults), with v' = dv/dt
+    formed from what A already read.  ``curvature_of(t)`` turns that into
+    (A, B, C, v, v'), the one pass a ball integrand needs; the (A, B, C)
+    algebra, f = v/r and the breakpoints are written once on top of it.
     """
 
     representation: Representation
@@ -169,20 +171,23 @@ class Engine:
     s_of: Callable
     r_of: Callable
     x_of: Callable
-    vprime_of: Callable
     sprime_of: Callable
     xi_prime_of: Callable | None = None  # the xi gauge only
     fprime_of: Callable | None = None  # the F gauge only
     fpp_of: Callable | None = None  # the F gauge only
 
-    def abc_of(self, t):
+    def curvature_of(self, t):
+        """(A, B, C, v, dv/dt) at native radii t."""
         t = _as_float(t)
-        A, v, w, xi = self.parts_of(t)
+        A, v, w, xi, dv = self.parts_of(t)
         v2 = np.square(v)  # a ufunc, not **: see scalar_like
         with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
             B = np.where(t > 0, (xi * v - w) / v2, 0.5 * A)
             C = np.where(t > 0, 2.0 * w / v2, A)
-        return A, B, C
+        return A, B, C, v, dv
+
+    def abc_of(self, t):
+        return self.curvature_of(t)[:3]
 
     def f_of(self, t):
         t = _as_float(t)
@@ -252,16 +257,19 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         ugrid = np.concatenate(([0.0], ugrid))
     s_u = CumulativeIntegral(lambda u: np.sqrt(h_fn(u * u)), ugrid)
 
+    def parts_of(t):
+        h = h_fn(t)  # also dv/dr
+        return xi_prime_of(t) / h, v(t), w(t), xi_fn(t), h
+
     return Engine(
         Representation.FROM_XI, profile, grid, h_origin,
-        parts_of=lambda t: (xi_prime_of(t) / h_fn(t), v(t), w(t), xi_fn(t)),
+        parts_of=parts_of,
         xi_of=xi_fn,
         h_of=h_fn,
         v_of=v,
         s_of=lambda t: s_u(np.sqrt(_as_float(t))),
         r_of=_as_float,
         x_of=lambda t: np.sqrt(_as_float(t) * h_fn(t)),
-        vprime_of=h_fn,  # dv/dr
         sprime_of=lambda t: 0.5 * np.sqrt(h_fn(t) / _as_float(t)),  # ds/dr
         xi_prime_of=xi_prime_of,
     )
@@ -294,11 +302,10 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
 
     def parts_of(t):
         p, pp, wt = fp(t), fpp(t), w(t)
+        sq = np.hypot(1.0, p)
         with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: the limit F''(0)^2/2
-            A = np.where(
-                t > 0, p * pp / (2.0 * t * np.power(np.hypot(1.0, p), 4)), 0.5 * np.square(pp)
-            )
-        return A, t * t + wt, wt, _xi_of_fprime(p)
+            A = np.where(t > 0, p * pp / (2.0 * t * np.power(sq, 4)), 0.5 * np.square(pp))
+        return A, t * t + wt, wt, _xi_of_fprime(p), 2.0 * t * sq  # dv/dx = 2x sq
 
     return Engine(
         Representation.FROM_F, profile, grid, opts.h0,
@@ -309,7 +316,6 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         s_of=s,
         r_of=lambda t: np.square(t) * np.exp(logr(t)) / opts.h0,
         x_of=_as_float,
-        vprime_of=lambda t: 2.0 * _as_float(t) * np.hypot(1.0, fp(t)),  # dv/dx
         sprime_of=lambda t: np.hypot(1.0, fp(t)),  # ds/dx
         fprime_of=fp,
         fpp_of=fpp,
@@ -326,8 +332,9 @@ class _TableInverse:
     Polish: Newton steps on ln q(t) = ln q, with the seed's own slope and
     kept inside the bracketing interval, until the log-residual is rounding.
     The origin answers q = 0.  Between the origin and the first positive
-    node q1 the table has no data, so a query there raises ValueError; a
-    query past the last node is clipped to it.
+    node q1 the table has no data, and past the last node it has none
+    either, so a query there raises ValueError; the last node answers
+    queries within a relative 1e-9 beyond it.
     """
 
     def __init__(self, name: str, q_of, values, native, log_slope):
@@ -354,6 +361,9 @@ class _TableInverse:
         if np.any((q < self._q[0]) & ~origin):
             raise ValueError(f"{self.name} = {np.min(q[~origin]):.6g} is below the first positive "
                              f"table node {self.name}1 = {self._q[0]:.6g}")
+        if np.any(q > self._q[-1] * (1 + 1e-9)):
+            raise ValueError(f"{self.name} = {np.max(q):.6g} is beyond the tabulated "
+                             f"{self.name} <= {self._q[-1]:.6g}")
         q = np.clip(q, self._q[0], self._q[-1])
         lq = np.log(q)
         i = np.clip(np.searchsorted(lq_nodes, lq, side="right") - 1, 0, lq_nodes.size - 2)
@@ -439,10 +449,8 @@ class MetricModel:
     def radius_from_s(self, s):
         """Native radius at geodesic distance s."""
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 0) or np.any(s_arr > self.s[-1] * (1 + 1e-9)):
-            raise ValueError(
-                f"distance outside the tabulated range (0, {self.s[-1]:.6g}]"
-            )
+        if np.any(s_arr <= 0):
+            raise ValueError(f"distance outside the tabulated range (0, {self.s[-1]:.6g}]")
         return scalar_like(s, self._inverse("s")(s_arr)[0])
 
     def native_from_r(self, r):
@@ -455,10 +463,7 @@ class MetricModel:
         """Native radius at transverse radius x (x^2 = r*h)."""
         if self.representation is Representation.FROM_F:
             return np.asarray(x, dtype=float)
-        if np.any(np.asarray(x, dtype=float) > self.x[-1] * (1 + 1e-9)):
-            # past saturation no radius has this x
-            raise ValueError(f"transverse radius beyond the tabulated x <= {self.x[-1]:.6g}")
-        return self._inverse("x")(x)[0]
+        return self._inverse("x")(x)[0]  # past saturation no radius has this x
 
     def describe(self) -> dict:
         cls = self.classification

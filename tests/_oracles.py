@@ -267,6 +267,65 @@ def rational_abc_mp(a, r, digits=40):
     return tuple(out)
 
 
+def ramp_abc_mp(r0, r, digits=30):
+    """(A, B, C) for the saturation ramp xi = S(u), u = (t - r0/2)/(r0/2)
+    clipped to [0, 1], S the quintic smoothstep, h(0) = 1, by mpmath quadrature.
+
+    ln h is minus the quadrature of xi/t over the ramp, less ln(t/r0) past r0
+    (where xi = 1); v and w are quadratures of h and xi h split at r0/2, at
+    r0 and past r0 at every decade, so each piece is analytic and short in
+    log t, and Gauss-Legendre converges on it in a few rounds.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.empty((3,) + r.shape)
+    with mpmath.workdps(digits):
+        r0 = mpmath.mpf(r0)
+        lo = r0 / 2
+
+        def quad(f, a, b):
+            return mpmath.quad(f, [a, b], method="gauss-legendre")
+
+        def u_of(t):
+            return min(max((t - lo) / lo, mpmath.mpf(0)), mpmath.mpf(1))
+
+        def xi(t):
+            u = u_of(t)
+            return u**3 * (10 - 15 * u + 6 * u**2)
+
+        ramp_total = quad(lambda tau: xi(tau) / tau, lo, r0)
+
+        def h(t):
+            if t <= lo:
+                return mpmath.mpf(1)
+            if t >= r0:
+                return mpmath.exp(-ramp_total) * r0 / t
+            return mpmath.exp(-quad(lambda tau: xi(tau) / tau, lo, t))
+
+        pieces = {}  # (a, b) -> (integral of h, integral of xi h)
+
+        def vw(a, b):
+            if (a, b) not in pieces:
+                pieces[a, b] = quad(h, a, b), quad(lambda tau: xi(tau) * h(tau), a, b)
+            return pieces[a, b]
+
+        for i, t in enumerate(r.ravel()):
+            t = mpmath.mpf(t)
+            cuts = [mpmath.mpf(0)] + [c for c in (lo, r0) if c < t]
+            while t > 10 * cuts[-1] >= r0:
+                cuts.append(10 * cuts[-1])
+            cuts.append(t)
+            v = w = mpmath.mpf(0)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                dv, dw = vw(a, b)
+                v, w = v + dv, w + dw
+            u = u_of(t)
+            A = 30 * u**2 * (1 - u) ** 2 / lo / h(t)  # xi'(t)/h
+            abc = (A, (xi(t) * v - w) / v**2, 2 * w / v**2)
+            for j, value in enumerate(abc):
+                out[j].flat[i] = float(value)
+    return tuple(out)
+
+
 def fgauge_b_mp(x, fprime, w, digits=50):
     """B = (x^2 (sq - 1) - w)/(v^2 sq) at ``digits`` digits, sq = sqrt(1 + F'^2),
     v = x^2 + w, from given float x, F' and w.

@@ -48,7 +48,6 @@ from cvlab.integrals import (
     mixed_curvature_ibp,
     normalized_chern_series,
     normalized_sigma_series,
-    sigma_density,
     volume_ball,
     default_s_grid,
     volume_growth_report,
@@ -249,7 +248,7 @@ def test_c09_sigma_2_window_slope_on_step_metric(yau_n3):
 
     # the cumulative the series reads, queried at x directly rather than
     # through the series' s -> x interpolation
-    cum = _density_cumulative(m, ("sigma", 2), sigma_density(m, 2))
+    cum = _density_cumulative(m, ("sigma", 2))
     # bump l spans [a_l, b_l] with a_l = l.  Its sigma_2 mass grows like l^e,
     # e = 2n - 1 - q, and sets the asymptotic slope e - 1 = 4 - q; the gap
     # after it, [b_l, a_(l+1)], must grow slower

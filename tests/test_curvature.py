@@ -17,7 +17,13 @@ from cvlab.curvature import (
     sigma_k,
 )
 
-from _oracles import chern_density_oracle, fgauge_b_mp, rational_abc_mp, sigma_oracle
+from _oracles import (
+    chern_density_oracle,
+    fgauge_b_mp,
+    ramp_abc_mp,
+    rational_abc_mp,
+    sigma_oracle,
+)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -135,6 +141,15 @@ def test_rational_metric_curvature_closed_form(a):
     assert np.allclose(B, B0, rtol=1e-9, atol=0.0)
 
 
+def test_saturation_ramp_curvature_against_mpmath(s3_n2):
+    # flat below r0/2 (A = B = C = 0 exactly), the quintic ramp on [r0/2, r0],
+    # the cylinder end past it (A = 0, xi = 1)
+    r = np.concatenate((np.geomspace(1e-3, 0.4, 5), np.linspace(0.52, 0.98, 8),
+                        np.geomspace(1.02, 1e6, 9)))
+    for got, want in zip(abc_native(s3_n2, r), ramp_abc_mp(1.0, r)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_origin_limits_from_xi(poly05_n2):
     A, B, C = abc_native(poly05_n2, 0.0)
     # xi'(0) = a = 1/2, h(0) = 1: A = 1/2, B = A/2, C = A
@@ -173,8 +188,10 @@ def test_f_gauge_b_keeps_its_digits_where_fprime_is_small(yau_n3):
 
 def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
     # one abc_of query on a large batch costs about its table reads; on the
-    # F gauge the closed-form F'' makes F' a table too, so its reads count
+    # F gauge the closed-form F'' makes F' a table too, so its reads count.
+    # A density table's integrand needs v and v' too, which the same reads give
     from cvlab import BuildOptions, ClosedFormSource, GeneratorKind, GeneratorProfile, build_metric
+    from cvlab.integrals import _ball_integrand, sigma_density
     from cvlab.quadrature import CumulativeIntegral
 
     fpp = GeneratorProfile(GeneratorKind.FPP, ClosedFormSource("exp(-t)"))
@@ -190,6 +207,9 @@ def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
     for m, tables in ((poly05_n2, 3), (f_model, 2)):  # log h, v, w; F', w
         reads.clear()
         m.engine.abc_of(m.native)
+        assert sorted(reads.values()) == [1] * tables
+        reads.clear()
+        CumulativeIntegral(_ball_integrand(m, sigma_density(m, 2)), m.native)
         assert sorted(reads.values()) == [1] * tables
 
 

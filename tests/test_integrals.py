@@ -26,8 +26,8 @@ from cvlab.metric import build_metric
 from cvlab.quadrature import QuadratureError
 
 
-def _unit_density(t):
-    return np.ones_like(np.asarray(t, dtype=float))
+def _unit_density(A, B, C):
+    return np.ones_like(A)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,8 @@ def test_single_ball_on_an_exponential_profile_past_r_5e4():
 
 
 def test_ball_integral_raises_on_hopeless_density(poly05_n2):
-    def noisy(t):
-        return np.sin(1.0 / (np.asarray(t, dtype=float) + 1e-9))
+    def noisy(A, B, C):
+        return np.sin(1.0 / (A + 1e-9))
 
     with pytest.raises(QuadratureError) as exc:
         ball_integral(poly05_n2, noisy, 50.0, rel_tol=1e-13)

@@ -328,6 +328,18 @@ def test_inverses_refuse_queries_between_the_origin_and_the_first_node(poly05_n2
     assert t[0] == 0.0 and t[1] == pytest.approx(yau_n3.native[1], rel=1e-13)
 
 
+def test_inverses_refuse_queries_past_the_last_node():
+    # the r table ends at 9.6e5: r = 1e40 used to come back as the last node
+    # x = 256 and distance s_end, with no error
+    m = yau_counterexample(3, 2, l_max=32)
+    with pytest.raises(ValueError, match="beyond the tabulated r"):
+        m.native_from_r(1e40)
+    with pytest.raises(ValueError, match="beyond the tabulated r"):
+        distance_s(m, r=1e40)
+    # the last node itself, and rounding past it, still answer
+    assert m.native_from_r(m.r[-1] * (1 + 1e-12)) == m.native[-1]
+
+
 def test_inverse_reports_its_residual(monkeypatch, caplog):
     # unpolished on a coarse grid, the Hermite seed is close but not at
     # rounding: the residual comes back with the radius and a large one is logged
