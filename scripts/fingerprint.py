@@ -8,10 +8,11 @@ The dump covers seven models (poly n=2 rational, poly n=3 exponential, s3,
 flat, yau n=3 and lp n=2 with l_max 32, and the h-kind (1 + t)^-0.5): the
 model tables; each engine method at 50 points, once as one array query and
 once as 50 scalar queries; every sigma, Chern, L^p and scalar series;
-``chern_number`` and the IBP identity; ``abc_at_r``/``abc_at_x``,
-``distance_s``, ``radius_from_s`` and ``volume_ball`` as arrays and as
-scalars; ``average_scalar_curvature`` at three radii; and
-``curvature_table``.  A call that raises is recorded as its exception type.
+``chern_number``; the IBP identity and, as a key of its own, its condition
+number (an older checkout, whose ``IbpCheck`` has none, records the
+exception); ``abc_at_r``/``abc_at_x``, ``distance_s``, ``radius_from_s`` and
+``volume_ball`` as arrays and as scalars; ``average_scalar_curvature`` at
+three radii; and ``curvature_table``.  A call that raises is recorded as its exception type.
 
 ``--compare`` lists every key that is missing from one dump or not
 ``np.array_equal`` between them, with two gaps for each differing float key
@@ -125,6 +126,7 @@ def fingerprint(name, model, out):
     for k in range(1, n):
         _record(out, f"{name}.ibp{k}",
                 lambda: (lambda c: (c.direct, c.by_parts))(mixed_curvature_ibp(model, k)))
+        _record(out, f"{name}.ibp{k}.condition", lambda: mixed_curvature_ibp(model, k).condition)
 
     r_pts, x_pts, s_pts = _span(model.r), _span(model.x), _span(model.s)
     _array_and_scalars(out, f"{name}.abc_at_r", lambda r: abc_at_r(model, r), r_pts)

@@ -4,10 +4,13 @@ The volume element of a rotation-invariant metric in the radial coordinate is
 d(Vol) = c_n d(v^n) with v = r*f, so every ball integral here is a 1-d
 integral of  density * n * v^(n-1) * v'  in the native coordinate.  A
 density is a function of the curvature components (A, B, C); one engine
-pass, ``Engine.curvature_of``, gives them together with v and v'.  Series
-over a log-spaced set of ball radii share one cached cumulative integral per
-(model, density key) pair, so a 64-point series costs one pass over the
-master grid.
+pass gives them together with v and v'.  Series over a log-spaced set of
+ball radii share one cached cumulative integral per (model, density key)
+pair, built from ``Engine.node_curvature`` -- the engine's values at the
+master grid's Gauss nodes, kept or read off its tables' node data -- so a
+64-point series costs one pass over the master grid and queries no table.
+Single balls (``ball_integral``) run ``Engine.curvature_of`` at the
+adaptive rule's own points.
 
 Normalizations:
 
@@ -24,12 +27,13 @@ numeric part is completed by the exact tail (n xi_inf)^n - T(end)^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import chern_density_k, ricci_eigenvalues, scalar_curvature, sigma_k
-from .metric import MetricClass, MetricModel, Representation
+from .metric import MetricClass, MetricModel
 from .quadrature import CumulativeIntegral, adaptive_integral, extrapolate_limit, scalar_like
 
 
@@ -85,15 +89,20 @@ _DENSITIES = {
 }
 
 
+def _ball_values(n: int, density, curvature, *t):
+    """density * n v^(n-1) v' from ``curvature(*t)`` = (A, B, C, v, v'): c_n
+    times its integral is the ball's.  The volume weight is formed first, so
+    v and v' are freed before the density's temporaries exist."""
+    A, B, C, v, dv = curvature(*t)
+    weight = n * v ** (n - 1) * dv
+    del v, dv
+    return density(A, B, C) * weight
+
+
 def _ball_integrand(model: MetricModel, density):
-    """density * n v^(n-1) v' at native radii: c_n times its integral is the ball's."""
+    """The ball integrand at native radii t, for points no table holds."""
     n, curvature_of = model.n, model.engine.curvature_of
-
-    def integrand(t):
-        A, B, C, v, dv = curvature_of(t)
-        return density(A, B, C) * n * v ** (n - 1) * dv
-
-    return integrand
+    return lambda t: _ball_values(n, density, curvature_of, t)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,8 @@ def _density_cumulative(model: MetricModel, key) -> CumulativeIntegral:
     cache = model._cache
     if key not in cache:
         density = _DENSITIES[key[0]](model, *key[1:])
-        cache[key] = CumulativeIntegral(_ball_integrand(model, density), model.native)
+        values = _ball_values(model.n, density, model.engine.node_curvature)
+        cache[key] = CumulativeIntegral(values, model.native)
     return cache[key]
 
 
@@ -261,8 +271,19 @@ def chern_number(model: MetricModel) -> ChernTotal:
 
 @dataclass(frozen=True)
 class IbpCheck:
+    """Both sides of the identity, with the two terms of the right-hand side.
+
+    by_parts = c_n (boundary + n (n-k) bulk).  ``condition`` is
+    (|boundary| + |n (n-k) bulk|) / |boundary + n (n-k) bulk|: the factor by
+    which rounding in the terms is amplified in by_parts, so a gap or a
+    change in by_parts reads against condition * eps.
+    """
+
     direct: float
     by_parts: float
+    boundary: float
+    bulk: float
+    condition: float
 
     @property
     def relative_gap(self) -> float:
@@ -273,47 +294,36 @@ class IbpCheck:
 def mixed_curvature_ibp(model: MetricModel, k: int, t_end: float | None = None) -> IbpCheck:
     """Check the radial integration by parts behind the k < n comparison.
 
-    c_n n int A-slope * v^(n-k) = boundary + c_n n (n-k) int v^(n-k-1) dv_flat,
-    written in whichever coordinate the model is generated in.  Both sides are
-    evaluated by independent quadratures; exact up to grid accuracy.
+    c_n n int A v' v^(n-k) = c_n (-n v^(n-k) (1 - xi) at the end
+                                  + n (n-k) int v^(n-k-1) (1 - xi) v'),
+
+    one form for both gauges, in the native coordinate t with v' = dv/dt:
+    A v' dt = xi'(r) dr = F'F''/(1 + F'^2)^(3/2) dx, and (1 - xi) v' dt =
+    h (1 - xi) dr = 2x dx.  Both sides are tables built from the engine's
+    node data on the master grid, read at ``t_end`` (default: the end of the
+    grid, where they read their stored totals); exact up to grid accuracy.
     """
     n = model.n
     if not 1 <= k < n:
         raise ValueError("the mixed comparison needs 1 <= k < n")
-    end = float(t_end) if t_end is not None else float(model.native[-1])
-    eng = model.engine
-    v_end = float(eng.v_of(end))
-
-    if model.representation is Representation.FROM_XI:
-        if float(np.max(model.xi)) >= 1.0 - 1e-12:
-            raise ValueError("identity needs xi < 1 on the grid")
-
-        def direct_integrand(t):
-            return eng.v_of(t) ** (n - k) * eng.xi_prime_of(t)
-
-        def bulk_integrand(t):
-            return eng.v_of(t) ** (n - k - 1) * eng.h_of(t) * (1.0 - eng.xi_of(t))
-
-        boundary = -n * v_end ** (n - k) * (1.0 - float(eng.xi_of(end)))
+    if float(np.max(model.xi)) >= 1.0 - 1e-12:
+        raise ValueError("identity needs xi < 1 on the grid")
+    A, v, _, xi, dv = model.engine.node_parts()
+    direct = CumulativeIntegral(A * dv * v ** (n - k), model.native)
+    bulk = CumulativeIntegral(v ** (n - k - 1) * (1.0 - xi) * dv, model.native)
+    if t_end is None:
+        ends = direct.total, bulk.total, model.v[-1], model.xi[-1]
     else:
-
-        def direct_integrand(t):
-            fp = eng.fprime_of(t)
-            return fp * eng.fpp_of(t) / np.hypot(1.0, fp) ** 3 * eng.v_of(t) ** (n - k)
-
-        def bulk_integrand(t):
-            return eng.v_of(t) ** (n - k - 1) * 2.0 * t
-
-        boundary = -n * v_end ** (n - k) / np.hypot(1.0, float(eng.fprime_of(end)))
-
-    grid = model.native[model.native <= end * (1 + 1e-12)]
-    if grid[-1] < end:
-        grid = np.concatenate((grid, [end]))
-    direct = model.c_n * n * CumulativeIntegral(direct_integrand, grid).total
-    bulk = CumulativeIntegral(bulk_integrand, grid).total
+        end = float(t_end)
+        ends = direct(end), bulk(end), model.engine.v_of(end), model.engine.xi_of(end)
+    direct_end, bulk_end, v_end, xi_end = (float(u) for u in ends)
     # the boundary term at the origin vanishes: v(0) = 0 and k < n
-    by_parts = model.c_n * (boundary + n * (n - k) * bulk)
-    return IbpCheck(direct=direct, by_parts=by_parts)
+    boundary = -n * v_end ** (n - k) * (1.0 - xi_end)
+    by_parts = boundary + n * (n - k) * bulk_end
+    terms = abs(boundary) + abs(n * (n - k) * bulk_end)
+    return IbpCheck(direct=model.c_n * n * direct_end, by_parts=model.c_n * by_parts,
+                    boundary=boundary, bulk=bulk_end,
+                    condition=terms / abs(by_parts) if by_parts else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Quadrature and finite-difference helpers shared by the metric machinery.
 
 Radial quantities (h, f, s, v, ...) are cumulative tables over a fixed master
-grid (`CumulativeIntegral`): the integrand runs once, at Gauss-Legendre nodes
-in each cell, and a query reads its cell's stored antiderivative.  Cells never
-place nodes on the boundary, so integrands with removable endpoint behaviour
-(e.g. xi(t)/t at t=0) are safe as long as the grid starts at the endpoint.
+grid (`CumulativeIntegral`): the integrand runs once, at the Gauss-Legendre
+nodes of each cell (`gauss_nodes`), and a query reads its cell's stored
+antiderivative.  Every table on one grid shares those nodes, so a table can
+be built from node values computed once for several tables, and
+``at_nodes()`` gives a table's own values there without a query; one model
+evaluates its engine once per node.  Cells never place nodes on the
+boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
+t=0) are safe as long as the grid starts at the endpoint.
 
 One-off integrals to a requested tolerance (a single ball) go through
 `adaptive_integral`: Gauss-Legendre bisection from the breakpoints, whose
@@ -47,13 +51,35 @@ def _antiderivative_matrix(order: int) -> np.ndarray:
     return legint(transform, lbnd=-1).T
 
 
+@lru_cache(maxsize=8)
+def _node_vander(order: int) -> np.ndarray:
+    """(order + 1, order) Legendre polynomials of degree <= order at the Gauss nodes."""
+    return legvander(_gl_rule(order)[0], order).T
+
+
+def _nodes(lo, hi, order: int):
+    xg = _gl_rule(order)[0]
+    half = 0.5 * (hi - lo)
+    return (lo + half)[..., None] + half[..., None] * xg
+
+
+def gauss_nodes(grid, order: int = 8) -> np.ndarray:
+    """(cells, order) Gauss-Legendre nodes of every cell of ``grid``: where a
+    ``CumulativeIntegral`` on that grid runs its integrand."""
+    grid = np.asarray(grid, dtype=float)
+    return _nodes(grid[:-1], grid[1:], order)
+
+
 def _gauss_rules(f, lo, hi, order: int = ADAPTIVE_ORDER):
     """(node values, rule sums) of f on every [lo, hi] pair, any shape, in one call."""
-    xg, wg = _gl_rule(order)
-    half = 0.5 * (hi - lo)
-    nodes = (lo + half)[..., None] + half[..., None] * xg
+    nodes = _nodes(lo, hi, order)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return vals, half * (vals @ wg)
+    return vals, _rule_sums(vals, lo, hi)
+
+
+def _rule_sums(vals, lo, hi):
+    """Gauss-Legendre sums of node values ``vals`` (..., order) over [lo, hi]."""
+    return 0.5 * (hi - lo) * (vals @ _gl_rule(vals.shape[-1])[1])
 
 
 def scalar_like(t, out):
@@ -76,11 +102,13 @@ def scalar_like(t, out):
 class CumulativeIntegral:
     """F(t) = integral of f from grid[0] to t, t in [grid[0], grid[-1]].
 
-    The integrand must be vectorized (1-d array in, same shape out) and
-    smooth within each grid cell; kinks belong on grid points.  It is called
-    once, at the Gauss nodes, and not kept: inside a cell F integrates the
-    polynomial of degree order - 1 through the cell's node values, so it is
-    exact for integrands of that degree.
+    ``f`` is either a vectorized integrand (1-d array in, same shape out) or
+    its values at ``gauss_nodes(grid, order)``, a (cells, order) array; both
+    give the same table bit for bit.  The integrand must be smooth within
+    each grid cell; kinks belong on grid points.  It is called once, at the
+    Gauss nodes, and not kept: inside a cell F integrates the polynomial of
+    degree order - 1 through the cell's node values, so it is exact for
+    integrands of that degree.  ``at_nodes()`` gives F back at those nodes.
     """
 
     def __init__(self, f, grid: np.ndarray, order: int = 8):
@@ -91,7 +119,15 @@ class CumulativeIntegral:
             raise ValueError("grid must be strictly increasing")
         self.grid = grid
         self.order = order
-        vals, cell = _gauss_rules(f, grid[:-1], grid[1:], order)
+        lo, hi = grid[:-1], grid[1:]
+        if callable(f):
+            vals, cell = _gauss_rules(f, lo, hi, order)
+        else:
+            vals = np.asarray(f, dtype=float)
+            if vals.shape != (grid.size - 1, order):
+                raise ValueError(f"node values must have shape {(grid.size - 1, order)}, "
+                                 f"got {vals.shape}")
+            cell = _rule_sums(vals, lo, hi)
         self.values = np.concatenate([[0.0], np.cumsum(cell)])
         self._coef = (vals @ _antiderivative_matrix(order)).T
 
@@ -113,6 +149,12 @@ class CumulativeIntegral:
             # Clenshaw point by point: no reduction whose order depends on the batch
             out[live] += half * legval(u, self._coef[:, i], tensor=False)
         return scalar_like(t, out.reshape(np.shape(t)))
+
+    def at_nodes(self) -> np.ndarray:
+        """F at ``gauss_nodes(grid, order)``, (cells, order): one product of the
+        stored coefficients with the node Legendre table, no search."""
+        half = 0.5 * np.diff(self.grid)
+        return self.values[:-1, None] + half[:, None] * (self._coef.T @ _node_vander(self.order))
 
     @property
     def total(self) -> float:

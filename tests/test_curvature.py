@@ -189,9 +189,16 @@ def test_f_gauge_b_keeps_its_digits_where_fprime_is_small(yau_n3):
 def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
     # one abc_of query on a large batch costs about its table reads; on the
     # F gauge the closed-form F'' makes F' a table too, so its reads count.
-    # A density table's integrand needs v and v' too, which the same reads give
+    # A ball integrand at arbitrary points needs v and v' too, which the same
+    # reads give.  Density and IBP tables run at the master grid's Gauss
+    # nodes, where the engine's node data answer without a read
     from cvlab import BuildOptions, ClosedFormSource, GeneratorKind, GeneratorProfile, build_metric
-    from cvlab.integrals import _ball_integrand, sigma_density
+    from cvlab.integrals import (
+        _ball_integrand,
+        _density_cumulative,
+        mixed_curvature_ibp,
+        sigma_density,
+    )
     from cvlab.quadrature import CumulativeIntegral
 
     fpp = GeneratorProfile(GeneratorKind.FPP, ClosedFormSource("exp(-t)"))
@@ -211,6 +218,28 @@ def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
         reads.clear()
         CumulativeIntegral(_ball_integrand(m, sigma_density(m, 2)), m.native)
         assert sorted(reads.values()) == [1] * tables
+        reads.clear()
+        _density_cumulative(m, ("sigma", 2))
+        mixed_curvature_ibp(m, 1)
+        assert not reads
+
+
+def test_a_step_build_evaluates_fprime_once_per_gauss_node(monkeypatch):
+    from cvlab import families, yau_counterexample
+    from cvlab.quadrature import gauss_nodes
+
+    sizes = []
+    cumulative = families.SmoothStepSource.cumulative
+
+    def counted(source, t):
+        sizes.append(np.size(t))
+        return cumulative(source, t)
+
+    monkeypatch.setattr(families.SmoothStepSource, "cumulative", counted)
+    m = yau_counterexample(3, 2, l_max=32)
+    # once at the Gauss nodes for the w, s and log r tables; once at the grid
+    # for the model's xi column
+    assert sizes == [gauss_nodes(m.native).size, m.native.size]
 
 
 def test_cross_route_agreement_rational(poly05_n2):

@@ -238,6 +238,26 @@ def test_ibp_identity_from_f(yau_n3):
     # of order v^2 ~ 1e17 that agree to eleven digits; stop just past the
     # last step, where the identity is conditioned, to see the true gap
     assert mixed_curvature_ibp(yau_n3, 1, t_end=128.0).relative_gap <= 1e-9
+    # an end between grid nodes reads both tables and the boundary there
+    assert not np.isin(100.5, yau_n3.native)
+    assert mixed_curvature_ibp(yau_n3, 1, t_end=100.5).relative_gap <= 1e-9
+
+
+def test_ibp_reports_its_condition(yau_n3):
+    # n = 3, k = 2 to x = 2e4 by hand: bulk = int 2x dx = x^2 = 4e8, so
+    # n (n-k) bulk = 1 200 000 000; the boundary -n v (1 - xi) reads
+    # -1 199 999 633 and by_parts / c_n is their difference, 367
+    ibp = mixed_curvature_ibp(yau_n3, 2)
+    n, k, x_end = 3, 2, 2.0e4
+    assert n * (n - k) * ibp.bulk == pytest.approx(n * (n - k) * x_end**2, rel=4e-15)
+    assert ibp.boundary == pytest.approx(-1_199_999_633, abs=0.5)
+    assert ibp.by_parts == pytest.approx(yau_n3.c_n * 367, rel=1.5e-3)
+    by_hand = (1_199_999_633 + 1_200_000_000) / 367
+    assert ibp.condition == pytest.approx(by_hand, rel=1.5e-3)
+    terms = abs(ibp.boundary) + n * (n - k) * abs(ibp.bulk)
+    assert ibp.condition == pytest.approx(terms / abs(ibp.by_parts / yau_n3.c_n), rel=1e-15)
+    # C10's gate sits far above the rounding the condition amplifies
+    assert ibp.condition * np.finfo(float).eps < 1e-6
 
 
 @pytest.mark.parametrize("p, alpha, beta, l_max", [(2.37, 2.48, 5.0, 75), (2.79, 2.45, 5.0, 69)])

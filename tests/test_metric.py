@@ -43,6 +43,7 @@ from cvlab.metric import (
     save_metric,
     xi_from_fprime,
 )
+from cvlab.quadrature import gauss_nodes
 from cvlab.profiles import (
     ClosedFormSource,
     FamilySpec,
@@ -149,6 +150,38 @@ def test_f_representation_reproduces_xi_tables(yau_n3):
     assert np.allclose(m.x[1:] ** 2, m.r[1:] * m.h[1:], rtol=1e-10)
     assert np.allclose(m.v[1:], m.r[1:] * m.f[1:], rtol=1e-10)
     assert np.all(np.diff(m.s) > 0)
+
+
+NODE_MODELS = {
+    "poly": lambda: build_metric(polynomial_xi(0.5), 2),
+    "s3": lambda: s3_metric(2, r0=1.0),
+    "hkind": lambda: build_metric(
+        GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5")), 2
+    ),
+    "yau": lambda: yau_counterexample(3, 2, l_max=32),
+    "lp": lambda: lp_counterexample(2, l_max=32),
+    "exp(-t)": lambda: build_metric(
+        GeneratorProfile(GeneratorKind.FPP, ClosedFormSource("exp(-t)")), 2,
+        BuildOptions(grid_size=512),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_MODELS))
+def test_node_parts_are_parts_of_at_the_gauss_nodes(name):
+    m = NODE_MODELS[name]()
+    eng = m.engine
+    A, v, w, xi, dv = eng.node_parts()
+    want = eng.parts_of(gauss_nodes(m.native))
+    # the tables' own node values against queries there: measured w within
+    # 2e-16 v and the rest within 5.2e-15 relative (h = exp(-log h) on the xi
+    # gauge, xi = xi(F') with F' a table on the exp(-t) model)
+    assert np.all(np.abs(w - want[2]) <= 4e-16 * want[1])
+    for got, ref in zip((A, v, xi, dv), want[:2] + want[3:]):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    if name in ("yau", "lp"):  # F' and F'' in closed form, kept from the build
+        for got, ref in zip((A, xi, dv), (want[0], want[3], want[4])):
+            assert np.array_equal(got, ref)
 
 
 def test_gauge_map_consistent_along_a_built_metric():
