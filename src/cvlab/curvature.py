@@ -13,11 +13,10 @@ eigenvalues lambda = A + (n-1)B (multiplicity 2) and mu = B + (n/2)C
 eigenvalue multiset, and the degree-k Chern-form densities against the
 volume form.
 
-Two evaluation routes are exposed for cross-checking: the native route uses
-the generator's own representation exactly, while ``abc_at_r`` on transverse
-models (and ``abc_at_x`` on radial ones) re-derives the radial component from
-``dxi_dr`` (``fprime_over_x``): stencil derivatives of the tabulated profile in
-the other coordinate that never cross a breakpoint, kept in the model's cache.
+The points can be given in any coordinate: ``abc_native`` takes the
+generator's own radius, ``abc_at_r`` and ``abc_at_x`` invert the r or x table
+to it first.  All three are the same exact route; the independent stencil
+route that the C04 cross-check compares against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from math import comb
 
 import numpy as np
 
-from .metric import MetricModel, Representation, fprime_from_xi
-from .quadrature import scalar_like, stencil_derivative
+from .metric import MetricModel
+from .quadrature import scalar_like
 
 
 def ricci_eigenvalues(A, B, C, n: int):
@@ -80,77 +79,15 @@ def abc_native(model: MetricModel, t):
 
 
 def abc_at_r(model: MetricModel, r):
-    """(A, B, C) at radii r = |z|^2.
-
-    On transverse-generated models the radial component is re-derived from
-    the tabulated xi(r) by seam-aware polynomial stencils, which makes this
-    route numerically independent of the native one.
-    """
-    if model.representation is Representation.FROM_XI:
-        return scalar_like(r, model.engine.abc_of(r))
-    t = model.native_from_r(r)
-    _, B, C = model.engine.abc_of(t)
-    A = dxi_dr(model)(np.clip(t, model.native[0], model.native[-1])) / model.engine.h_of(t)
-    return scalar_like(r, (A, B, C))
+    """(A, B, C) at radii r = |z|^2: the native radius at r, then the native route."""
+    return scalar_like(r, model.engine.abc_of(model.native_from_r(r)))
 
 
 def abc_at_x(model: MetricModel, x):
-    """(A, B, C) at transverse radii x (x^2 = r*h).
-
-    On radially-generated models A is re-derived by differentiating the
-    tabulated F' over the x table: A = F' F'' / (2x (1 + F'^2)^2).
-    Needs xi < 1 (F' diverges at saturation).
-    """
-    if model.representation is Representation.FROM_F:
-        return scalar_like(x, model.engine.abc_of(x))
-    if float(np.max(model.xi)) >= 1.0 - 1e-9:
-        raise ValueError("transverse route needs xi < 1 everywhere (no saturation)")
-    fp_of_x, fpp_of_x = fprime_over_x(model)
-    t = model.native_from_x(x)
-    _, B, C = model.engine.abc_of(t)
-    x_t = np.clip(model.engine.x_of(t), model.x[0], model.x[-1])
-    fp, fpp = fp_of_x(x_t), fpp_of_x(x_t)
-    sq2 = 1.0 + fp * fp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = np.where(x_t > 0, fp * fpp / (2.0 * x_t * sq2 * sq2), 0.5 * fpp**2)
-    return scalar_like(x, (A, B, C))
-
-
-def _seam_indices(model: MetricModel):
-    """Nodes bounding the smooth segments of the native table."""
-    bp = np.asarray(model.engine.breakpoints_native, dtype=float)
-    idx = np.clip(np.searchsorted(model.native, bp), 0, model.native.size - 1)
-    return np.unique(idx)
-
-
-def dxi_dr(model: MetricModel):
-    """d xi/dr over the native grid, from the xi(r) table by seam-aware stencils.
-
-    A scipy PCHIP through the stencil values: the cross-check route keeps an
-    interpolant of its own, and scipy loads on its first use.
-    """
-    if "dxi_dr" not in model._cache:
-        from scipy.interpolate import PchipInterpolator
-
-        table = stencil_derivative(model.xi, model.r, segments=_seam_indices(model))
-        model._cache["dxi_dr"] = PchipInterpolator(model.native, table, extrapolate=False)
-    return model._cache["dxi_dr"]
-
-
-def fprime_over_x(model: MetricModel) -> tuple:
-    """F' and F'' over the x table, from xi by seam-aware stencils; needs xi < 1.
-
-    Two scipy PCHIPs, as in ``dxi_dr``.
-    """
-    if "fprime_over_x" not in model._cache:
-        from scipy.interpolate import PchipInterpolator
-
-        fp_table = fprime_from_xi(np.clip(model.xi, 0.0, 1.0 - 1e-15))
-        fpp_table = stencil_derivative(fp_table, model.x, segments=_seam_indices(model))
-        model._cache["fprime_over_x"] = tuple(
-            PchipInterpolator(model.x, y, extrapolate=False) for y in (fp_table, fpp_table)
-        )
-    return model._cache["fprime_over_x"]
+    """(A, B, C) at transverse radii x (x^2 = r*h): the native radius at x, then
+    the native route.  Past saturation no radius has a given x, and the x
+    inverse raises ValueError beyond its table."""
+    return scalar_like(x, model.engine.abc_of(model.native_from_x(x)))
 
 
 # ---------------------------------------------------------------------------

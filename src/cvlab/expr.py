@@ -289,7 +289,8 @@ def evaluate_derivative(node: Expr, t):
     """d/dt of an AST at scalar or ndarray t, by forward-mode dual evaluation.
 
     Exact up to rounding: finite differences lose half the mantissa on
-    saturating profiles, which is fatal for tail curvature.
+    saturating profiles, which is fatal for tail curvature.  At a ``min1``
+    kink the slope is one-sided: an argument at or above 1 has slope 0.
     """
     t_arr = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):

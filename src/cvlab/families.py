@@ -133,7 +133,8 @@ class SmoothStepSource(_StepSourceBase):
     the width is spent on each transition, so the exact mass per step is
     (1 - factor) * H * w.  Running integrals are closed-form, which keeps the
     metric builder's quadrature honest across features five orders of
-    magnitude below the grid scale.
+    magnitude below the grid scale; the builder bisects its x grid across
+    each transition as far as the curvature there needs.
     """
 
     def __init__(self, family: StepFamily, factor: float = 0.25):
@@ -186,15 +187,6 @@ class SmoothStepSource(_StepSourceBase):
     def spec(self):
         return {**super().spec(), "factor": self.factor}
 
-    def refinement_nodes(self, per_feature: int = 64):
-        per_plateau = max(8, per_feature // 4)
-        chunks = []
-        for a, b, tw in zip(self.a, self.b, self.tw):
-            chunks.append(np.linspace(a, a + tw, per_feature + 1))
-            chunks.append(np.linspace(a + tw, b - tw, per_plateau + 1))
-            chunks.append(np.linspace(b - tw, b, per_feature + 1))
-        return np.concatenate(chunks)
-
     def __repr__(self):
         fam = self.family
         return (
@@ -228,8 +220,9 @@ class SaturationRampSource(ProfileSource):
     def breakpoints(self):
         return np.array([0.5 * self.r0, self.r0])
 
-    def refinement_nodes(self, per_feature: int = 64):
-        return np.linspace(0.5 * self.r0, self.r0, 4 * per_feature + 1)
+    def refinement_nodes(self):
+        # a fixed 1 025 nodes: the saturated plateau's x inverse needs the ramp dense
+        return np.linspace(0.5 * self.r0, self.r0, 1025)
 
     def spec(self):
         return {"r0": self.r0}

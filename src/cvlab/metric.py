@@ -15,6 +15,13 @@ and free of the cancellation that costs naive differences every digit near
 the origin (where B = A/2 and C = A):
 
     B = (xi*v - w) / v^2       C = 2*w / v^2
+
+The r grid is geometric plus the profile's breakpoints and fixed refinement.
+The x grid starts the same way and is then bisected until, in every cell,
+the Legendre tail of xi'(x) = F'F''/(1 + F'^2)^(3/2) at the cell's Gauss
+nodes is within GRID_TOL of the total variation of xi; a step train's
+transitions get the nodes they need and no fixed count.  Each engine keeps a
+``GridRecord`` of how its grid was made.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .profiles import (
 )
 from .quadrature import (
     CumulativeIntegral,
+    cell_tails,
     derivative_fd,
     extrapolate_limit,
     gauss_nodes,
@@ -57,6 +65,9 @@ LIMIT_TOL = 1e-6  # xi limits below 1 - LIMIT_TOL are safely sub-saturated
 NEWTON_STEPS = 4  # most polishing steps an inverse takes
 RESIDUAL_WARN = 1e-12  # an inverse's final log-residual above this is reported
 FLAT_SLOPE = 1e-9  # d ln q/d ln t below this: the saturated x plateau
+MIN_CELL = 1e-14  # relative width under which a grid cell is neither kept nor bisected
+GRID_TOL = 1e-12  # an x cell's Legendre tail of xi'(x) over the total variation of xi
+GRID_ROUNDS = 40  # most bisection rounds of an x grid
 
 
 def ball_coefficient(n: int) -> float:
@@ -108,7 +119,6 @@ class BuildOptions:
     r_max: float = 1e8  # span of the r-grid for xi- and h-kind profiles
     x_max: float | None = None  # span of the x-grid for fpp-kind; default from profile
     h0: float = 1.0
-    nodes_per_feature: int = 256  # refinement nodes per profile transition
     quad_rel_tol: float = 1e-8
     series_points: int = 64
 
@@ -120,15 +130,34 @@ class BuildOptions:
         return opts
 
 
+@dataclass(frozen=True)
+class GridRecord:
+    """How a model's grid was made: ``base_nodes`` (geometric nodes, breakpoints
+    and a source's fixed refinement), then, on the x gauge, ``bisected_cells``
+    split over ``rounds`` rounds, leaving ``worst_estimate`` as the largest
+    cell's Legendre tail of xi'(x) over the total variation of xi (the bisection
+    stops when it is at most ``tolerance``).  The xi gauge bisects nothing."""
+
+    nodes: int
+    base_nodes: int
+    bisected_cells: int = 0
+    rounds: int = 0
+    worst_estimate: float = 0.0
+    tolerance: float = 0.0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
 def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
     lo = min(1e-8, end * 1e-10)
     bps = np.asarray(source.breakpoints(), dtype=float)
-    ref = np.asarray(source.refinement_nodes(opts.nodes_per_feature), dtype=float)
+    ref = np.asarray(source.refinement_nodes(), dtype=float)
     grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, opts.grid_size), bps, ref)))
     grid = grid[(grid >= 0.0) & (grid <= end)]
     # prune near-duplicates so no quadrature cell degenerates; a breakpoint is
     # a kink and never goes, its near neighbour does
-    close = np.diff(grid) <= 1e-14 * grid[1:]
+    close = np.diff(grid) <= MIN_CELL * grid[1:]
     fixed = np.isin(grid, bps)
     drop = np.zeros(grid.size, dtype=bool)
     drop[1:] = close & ~fixed[1:]
@@ -138,6 +167,59 @@ def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
 
 _as_float = partial(np.asarray, dtype=float)
 _EPS = float(np.finfo(float).eps)
+
+
+def _bisected_grid(grid, fpp, fp):
+    """The x grid bisected until each cell resolves xi'(x) = F'F''/(1 + F'^2)^(3/2).
+
+    Each round takes, at every cell's Gauss nodes, the Legendre tail of xi'
+    (``cell_tails``) and bisects the cells whose tail exceeds GRID_TOL times
+    the total variation of xi, down to the MIN_CELL width floor and for at most
+    GRID_ROUNDS rounds.  F'' (``fpp``) and the source's F' (``fp``) run on the
+    new cells only; where ``fp`` returns None (no closed form) each round reads
+    F' from the running integral of the F'' node values instead.  Returns the
+    grid, F'' and the closed-form F' (or None) at its Gauss nodes, and its
+    ``GridRecord``.
+    """
+    base = grid.size
+    pp = fpp(gauss_nodes(grid))
+    p = fp(gauss_nodes(grid))
+    bisected = 0
+    for rounds in range(GRID_ROUNDS + 1):
+        lo, hi = grid[:-1], grid[1:]
+        q = CumulativeIntegral(pp, grid).at_nodes() if p is None else p
+        tail, mass = cell_tails(q * pp / np.power(np.hypot(1.0, q), 3), lo, hi)
+        scale = float(np.sum(np.abs(mass)))
+        split = (tail > GRID_TOL * scale) & (hi - lo > 2.0 * MIN_CELL * hi)
+        if rounds == GRID_ROUNDS or not np.any(split):
+            break
+        # each split cell becomes its two halves, every other cell keeps its row
+        counts = 1 + split
+        first = (np.cumsum(counts) - counts)[split]
+        mid = 0.5 * (lo + hi)[split]
+        lo, hi = np.repeat(lo, counts), np.repeat(hi, counts)
+        hi[first], lo[first + 1] = mid, mid
+        fresh = np.zeros(lo.size, dtype=bool)
+        fresh[first], fresh[first + 1] = True, True
+        grid = np.append(lo, hi[-1])
+        nodes = gauss_nodes(grid)[fresh]
+        pp = _merge_rows(pp[~split], fpp(nodes), fresh)
+        if p is not None:
+            p = _merge_rows(p[~split], fp(nodes), fresh)
+        bisected += int(np.count_nonzero(split))
+    worst = float(np.max(tail)) / scale if scale > 0 else 0.0
+    if np.any(split):
+        log.warning("x grid: %d cell(s) above tolerance after %d bisection rounds",
+                    int(np.count_nonzero(split)), rounds)
+    log.info("x grid: %d base nodes, %d cells bisected in %d rounds, %d nodes, worst cell "
+             "estimate %.3g (tolerance %.0e)", base, bisected, rounds, grid.size, worst, GRID_TOL)
+    return grid, pp, p, GridRecord(grid.size, base, bisected, rounds, worst, GRID_TOL)
+
+
+def _merge_rows(kept_rows, fresh_rows, fresh):
+    out = np.empty((fresh.size, kept_rows.shape[1]))
+    out[~fresh], out[fresh] = kept_rows, fresh_rows
+    return out
 
 
 def _profile_fn(profile: GeneratorProfile):
@@ -193,6 +275,7 @@ class Engine:
     representation: Representation
     profile: GeneratorProfile
     grid: np.ndarray
+    grid_record: GridRecord
     h_origin: float  # h(0), which is also f(0)
     parts_of: Callable
     node_parts: Callable
@@ -307,7 +390,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         return _xi_parts(xi_prime_of(t), h_at_nodes(), v.at_nodes(), w.at_nodes(), xi_fn(t))
 
     return Engine(
-        Representation.FROM_XI, profile, grid, h_origin,
+        Representation.FROM_XI, profile, grid, GridRecord(grid.size, grid.size), h_origin,
         parts_of=parts_of,
         node_parts=node_parts,
         xi_of=xi_fn,
@@ -329,13 +412,12 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         if not np.isfinite(end):
             bps = profile.source.breakpoints()
             end = 8.0 * float(np.max(bps)) if len(bps) else 1e4
-    grid = _master_grid(profile.source, float(end), opts)
-    nodes = gauss_nodes(grid)
-
     fpp = _profile_fn(profile)
-    pp_nodes = fpp(nodes)
     fp = profile.source.cumulative
-    p_nodes = fp(nodes)
+    grid, pp_nodes, p_nodes, record = _bisected_grid(
+        _master_grid(profile.source, float(end), opts), fpp, fp
+    )
+    nodes = gauss_nodes(grid)
     if p_nodes is None:  # no closed-form F': tabulate it
         fp = CumulativeIntegral(pp_nodes, grid)
         p_nodes = fp.at_nodes()
@@ -355,7 +437,7 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         return _f_parts(nodes, p_nodes, pp_nodes, w.at_nodes())
 
     return Engine(
-        Representation.FROM_F, profile, grid, opts.h0,
+        Representation.FROM_F, profile, grid, record, opts.h0,
         parts_of=parts_of,
         node_parts=node_parts,
         xi_of=lambda t: _xi_of_fprime(fp(t)),
@@ -460,7 +542,7 @@ class MetricModel:
     v: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     # derived tables, built on first use: the s/r/x inverses, ball-integral
-    # cumulatives keyed by density, the curvature cross-check stencil tables
+    # cumulatives keyed by density
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -521,6 +603,7 @@ class MetricModel:
             "representation": self.representation.value,
             "classification": cls.as_dict(),
             "grid_nodes": len(self.native),
+            "grid": self.engine.grid_record.as_dict(),
             "native_end": self.native_end,
             "s_end": float(self.s[-1]),
             "options": asdict(self.options),
@@ -685,7 +768,10 @@ def load_metric(path) -> MetricModel:
     """Rebuild a saved model; bit-identical to it on the same numpy build.
 
     A sampled generator is interpolated by scipy's PCHIP, so a sampled model
-    is bit-identical on the same scipy build too.
+    is bit-identical on the same scipy build too.  A file whose options name
+    ``nodes_per_feature`` (a fixed step refinement, since replaced by the
+    bisected x grid) loads without it, logs that once, and rebuilds on the
+    bisected grid, so its tables move within that grid's tolerance.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -704,4 +790,8 @@ def load_metric(path) -> MetricModel:
     profile = GeneratorProfile(
         GeneratorKind(spec["kind"]), source_type.from_spec(spec["spec"]), name=spec["name"]
     )
-    return build_metric(profile, doc["n"], BuildOptions(**doc["options"]))
+    options = doc["options"]
+    if options.pop("nodes_per_feature", None) is not None:
+        log.warning("%s: dropped the retired build option nodes_per_feature; the model "
+                    "rebuilds on the bisected x grid", path)
+    return build_metric(profile, doc["n"], BuildOptions(**options))

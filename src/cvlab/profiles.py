@@ -100,8 +100,8 @@ class ProfileSource:
         """Locations where the profile is not smooth."""
         return np.empty(0)
 
-    def refinement_nodes(self, per_feature: int = 64) -> np.ndarray:
-        """Extra grid nodes resolving localized features."""
+    def refinement_nodes(self) -> np.ndarray:
+        """Fixed extra grid nodes resolving localized features."""
         return np.empty(0)
 
     def spec(self) -> dict:

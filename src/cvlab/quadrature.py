@@ -8,7 +8,9 @@ be built from node values computed once for several tables, and
 ``at_nodes()`` gives a table's own values there without a query; one model
 evaluates its engine once per node.  Cells never place nodes on the
 boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
-t=0) are safe as long as the grid starts at the endpoint.
+t=0) are safe as long as the grid starts at the endpoint.  ``cell_tails``
+reads a per-cell error estimate off the same node values, with no further
+integrand call; the x-gauge grid bisection uses it.
 
 One-off integrals to a requested tolerance (a single ball) go through
 `adaptive_integral`: Gauss-Legendre bisection from the breakpoints, whose
@@ -42,13 +44,19 @@ _gl_rule = lru_cache(maxsize=8)(leggauss)  # order -> (nodes, weights) on [-1, 1
 
 
 @lru_cache(maxsize=8)
+def _legendre_matrix(order: int) -> np.ndarray:
+    """(order, order) map from a cell's Gauss node values to the Legendre
+    coefficients of the interpolant through them: row k gives c_k."""
+    x, w = _gl_rule(order)
+    k = np.arange(order)[:, None]
+    return (k + 0.5) * w * legvander(x, order - 1).T
+
+
+@lru_cache(maxsize=8)
 def _antiderivative_matrix(order: int) -> np.ndarray:
     """(order, order + 1) map from a cell's Gauss node values to the Legendre
     coefficients of the interpolant's antiderivative, zero at the left edge."""
-    x, w = _gl_rule(order)
-    k = np.arange(order)[:, None]
-    transform = (k + 0.5) * w * legvander(x, order - 1).T
-    return legint(transform, lbnd=-1).T
+    return legint(_legendre_matrix(order), lbnd=-1).T
 
 
 @lru_cache(maxsize=8)
@@ -80,6 +88,16 @@ def _gauss_rules(f, lo, hi, order: int = ADAPTIVE_ORDER):
 def _rule_sums(vals, lo, hi):
     """Gauss-Legendre sums of node values ``vals`` (..., order) over [lo, hi]."""
     return 0.5 * (hi - lo) * (vals @ _gl_rule(vals.shape[-1])[1])
+
+
+def cell_tails(vals, lo, hi):
+    """(tail, integral) of each cell [lo, hi] from its Gauss node values ``vals``
+    (cells, order): the half-width times |c_(order-2)| + |c_(order-1)|, the two
+    highest Legendre coefficients of the interpolant through the nodes (the
+    chopping tail of Aurentz & Trefethen, ACM TOMS 43, 2017), and the cell's
+    Gauss-Legendre sum."""
+    tail = np.abs(vals @ _legendre_matrix(vals.shape[-1])[-2:].T)
+    return 0.5 * (hi - lo) * (tail[..., 0] + tail[..., 1]), _rule_sums(vals, lo, hi)
 
 
 def scalar_like(t, out):
@@ -205,44 +223,6 @@ def derivative_fd(f, t, rel_step: float = 1e-6):
     t_arr = np.asarray(t, dtype=float)
     h = np.maximum(np.abs(t_arr), 1e-290) * rel_step
     return (np.asarray(f(t_arr + h)) - np.asarray(f(t_arr - h))) / (2.0 * h)
-
-
-def stencil_derivative(y: np.ndarray, x: np.ndarray, segments=None, width: int = 7) -> np.ndarray:
-    """First derivative of a tabulated function by local polynomial stencils.
-
-    Seven-point (sixth-order) stencils in the interior, shrinking to
-    one-sided stencils near segment ends.  ``segments`` lists node indices
-    where higher derivatives jump (smoothing seams); stencils never cross
-    them, so a kink does not pollute its neighbourhood the way a fixed
-    centered difference does.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1 or y.size < 2:
-        raise ValueError("need matching 1-d arrays with at least 2 points")
-    n = x.size
-    cuts = [0, n - 1]
-    if segments is not None:
-        cuts += [int(i) for i in segments if 0 < int(i) < n - 1]
-    cuts = sorted(set(cuts))
-    out = np.empty(n)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        # the shared seam node belongs to both segments; either one-sided
-        # stencil is consistent since the first derivative is continuous
-        m = b - a + 1
-        k = min(width, m)
-        idx = np.arange(a, b + 1)
-        starts = np.clip(idx - k // 2, a, b - k + 1)
-        cols = starts[:, None] + np.arange(k)[None, :]
-        dx = x[cols] - x[idx][:, None]
-        scale = np.max(np.abs(dx), axis=1, keepdims=True)
-        dxs = dx / scale
-        powers = dxs[:, None, :] ** np.arange(k)[None, :, None]
-        rhs = np.zeros((m, k, 1))
-        rhs[:, 1, 0] = 1.0
-        w = np.linalg.solve(powers, rhs)[:, :, 0]
-        out[idx] = np.sum(w * y[cols], axis=1) / scale[:, 0]
-    return out
 
 
 def extrapolate_limit(values) -> float:

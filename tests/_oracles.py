@@ -6,12 +6,18 @@ textbook closed forms.  Slow is fine; being independent of the package's
 formulas is the point.
 """
 
+import functools
 import itertools
 import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
+
+from cvlab import Representation, fprime_from_xi
+from cvlab.curvature import abc_at_r, abc_at_x
+from cvlab.families import SmoothStepSource
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +348,140 @@ def fgauge_b_mp(x, fprime, w, digits=50):
             v = t * t + wt
             out.flat[i] = float((t * t * (sq - 1) - wt) / (v * v * sq))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the cross-check route: A re-derived in the coordinate the generator does not use
+#
+# An F''-generated model is differentiated in r (A = (d xi/dr)/h), an
+# xi-generated one in x (A = F'F''/(2x(1 + F'^2)^2) with F'' = dF'/dx), each
+# by seam-aware polynomial stencils on a dense sample of the model's own
+# tables, then interpolated by PCHIP.  B and C come from the native route.
+# C04 compares this route with the native one.
+
+
+def stencil_derivative(y, x, segments=None, width=7):
+    """First derivative of a tabulated function by local polynomial stencils.
+
+    Seven-point (sixth-order) stencils in the interior, shrinking to
+    one-sided stencils near segment ends.  ``segments`` lists node indices
+    where higher derivatives jump (smoothing seams); stencils never cross
+    them, so a kink does not pollute its neighbourhood the way a fixed
+    centered difference does.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.shape != x.shape or y.ndim != 1 or y.size < 2:
+        raise ValueError("need matching 1-d arrays with at least 2 points")
+    n = x.size
+    cuts = [0, n - 1]
+    if segments is not None:
+        cuts += [int(i) for i in segments if 0 < int(i) < n - 1]
+    cuts = sorted(set(cuts))
+    out = np.empty(n)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # the shared seam node belongs to both segments; either one-sided
+        # stencil is consistent since the first derivative is continuous
+        m = b - a + 1
+        k = min(width, m)
+        idx = np.arange(a, b + 1)
+        starts = np.clip(idx - k // 2, a, b - k + 1)
+        cols = starts[:, None] + np.arange(k)[None, :]
+        dx = x[cols] - x[idx][:, None]
+        scale = np.max(np.abs(dx), axis=1, keepdims=True)
+        dxs = dx / scale
+        powers = dxs[:, None, :] ** np.arange(k)[None, :, None]
+        rhs = np.zeros((m, k, 1))
+        rhs[:, 1, 0] = 1.0
+        w = np.linalg.solve(powers, rhs)[:, :, 0]
+        out[idx] = np.sum(w * y[cols], axis=1) / scale[:, 0]
+    return out
+
+
+def step_train_sample(source, per_feature=256):
+    """``per_feature`` + 1 evenly spaced points across each transition of a
+    smoothed step train and a quarter of that across each plateau."""
+    per_plateau = max(8, per_feature // 4)
+    chunks = []
+    for a, b, tw in zip(source.a, source.b, source.tw):
+        chunks += [
+            np.linspace(a, a + tw, per_feature + 1),
+            np.linspace(a + tw, b - tw, per_plateau + 1),
+            np.linspace(b - tw, b, per_feature + 1),
+        ]
+    return np.concatenate(chunks)
+
+
+def _dense_sample(model):
+    """Native radii at which the route samples the model's tables: the grid,
+    and on a smoothed step train ``step_train_sample``.  Breakpoints stay; a
+    node within a relative 1e-14 of its neighbour goes, as on the master grid."""
+    source = model.profile.source
+    chunks = [model.native]
+    if isinstance(source, SmoothStepSource):
+        chunks.append(step_train_sample(source))
+    t = np.unique(np.concatenate(chunks))
+    t = t[(t >= model.native[0]) & (t <= model.native[-1])]
+    close = np.diff(t) <= 1e-14 * t[1:]
+    fixed = np.isin(t, model.engine.breakpoints_native)
+    drop = np.zeros(t.size, dtype=bool)
+    drop[1:] = close & ~fixed[1:]
+    drop[:-1] |= close & fixed[1:] & ~fixed[:-1]
+    return t[~drop]
+
+
+def _seam_indices(t, breakpoints):
+    """Nodes of ``t`` bounding the smooth segments between breakpoints."""
+    bp = np.asarray(breakpoints, dtype=float)
+    return np.unique(np.clip(np.searchsorted(t, bp), 0, t.size - 1))
+
+
+@functools.lru_cache(maxsize=8)
+def dxi_dr(model):
+    """d xi/dr over native radii: a PCHIP through stencil derivatives of the
+    xi(r) sample."""
+    t = _dense_sample(model)
+    eng = model.engine
+    table = stencil_derivative(eng.xi_of(t), eng.r_of(t),
+                               segments=_seam_indices(t, eng.breakpoints_native))
+    return PchipInterpolator(t, table, extrapolate=False)
+
+
+@functools.lru_cache(maxsize=8)
+def fprime_over_x(model):
+    """F' and F'' over x: PCHIPs through F'(xi) on the sample and its stencil
+    derivative in x; needs xi < 1."""
+    t = _dense_sample(model)
+    eng = model.engine
+    x = eng.x_of(t)
+    fp = fprime_from_xi(np.clip(eng.xi_of(t), 0.0, 1.0 - 1e-15))
+    fpp = stencil_derivative(fp, x, segments=_seam_indices(t, eng.breakpoints_native))
+    return tuple(PchipInterpolator(x, y, extrapolate=False) for y in (fp, fpp))
+
+
+def route_abc_at_r(model, r):
+    """(A, B, C) at radii r; on an F''-generated model A = (d xi/dr)/h by stencils."""
+    if model.representation is Representation.FROM_XI:
+        return abc_at_r(model, r)
+    t = model.native_from_r(r)
+    _, B, C = model.engine.abc_of(t)
+    A = dxi_dr(model)(np.clip(t, model.native[0], model.native[-1])) / model.engine.h_of(t)
+    return A, B, C
+
+
+def route_abc_at_x(model, x):
+    """(A, B, C) at transverse radii x; on an xi-generated model A is formed from
+    F' and F'' by stencils over x.  Needs xi < 1 (F' diverges at saturation)."""
+    if model.representation is Representation.FROM_F:
+        return abc_at_x(model, x)
+    if float(np.max(model.xi)) >= 1.0 - 1e-9:
+        raise ValueError("transverse route needs xi < 1 everywhere (no saturation)")
+    fp_of_x, fpp_of_x = fprime_over_x(model)
+    t = model.native_from_x(x)
+    _, B, C = model.engine.abc_of(t)
+    x_t = np.clip(model.engine.x_of(t), model.x[0], model.x[-1])
+    fp, fpp = fp_of_x(x_t), fpp_of_x(x_t)
+    sq2 = 1.0 + fp * fp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.where(x_t > 0, fp * fpp / (2.0 * x_t * sq2 * sq2), 0.5 * fpp**2)
+    return A, B, C

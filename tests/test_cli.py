@@ -284,3 +284,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_classify_verbose_shows_how_the_grid_was_made(tmp_path):
+    env = dict(os.environ)
+    root = str(Path(cvlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvlab", "--verbose", "classify", "--family", "yau",
+         "--param", "l_max=16"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    grid = json.loads(proc.stdout)["grid"]
+    line = (f"x grid: {grid['base_nodes']} base nodes, {grid['bisected_cells']} cells "
+            f"bisected in {grid['rounds']} rounds, {grid['nodes']} nodes")
+    assert line in proc.stderr

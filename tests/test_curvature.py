@@ -22,6 +22,8 @@ from _oracles import (
     fgauge_b_mp,
     ramp_abc_mp,
     rational_abc_mp,
+    route_abc_at_r,
+    route_abc_at_x,
     sigma_oracle,
 )
 
@@ -224,7 +226,7 @@ def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
         assert not reads
 
 
-def test_a_step_build_evaluates_fprime_once_per_gauss_node(monkeypatch):
+def test_a_step_build_evaluates_fprime_on_new_cells_only(monkeypatch):
     from cvlab import families, yau_counterexample
     from cvlab.quadrature import gauss_nodes
 
@@ -237,9 +239,14 @@ def test_a_step_build_evaluates_fprime_once_per_gauss_node(monkeypatch):
 
     monkeypatch.setattr(families.SmoothStepSource, "cumulative", counted)
     m = yau_counterexample(3, 2, l_max=32)
-    # once at the Gauss nodes for the w, s and log r tables; once at the grid
-    # for the model's xi column
-    assert sizes == [gauss_nodes(m.native).size, m.native.size]
+    grid = m.engine.grid_record
+    # the bisection: the base grid's Gauss nodes, then the two halves of each
+    # bisected cell, one call per round
+    assert len(sizes) == grid.rounds + 2
+    assert sum(sizes[:-1]) == 8 * (grid.base_nodes - 1 + 2 * grid.bisected_cells)
+    assert sum(sizes[:-1]) <= 1.5 * gauss_nodes(m.native).size
+    # then once at the grid, for the model's xi column
+    assert sizes[-1] == m.native.size
 
 
 def test_cross_route_agreement_rational(poly05_n2):
@@ -247,7 +254,7 @@ def test_cross_route_agreement_rational(poly05_n2):
     r = np.geomspace(1e-2, 1e6, 120)
     native = abc_at_r(m, r)
     x = np.sqrt(r * np.interp(r, m.r, m.h))
-    via_x = abc_at_x(m, x)
+    via_x = route_abc_at_x(m, x)
     for direct, other in zip(native, via_x):
         assert np.all(np.abs(direct - other) <= 1e-5 * (1.0 + np.abs(direct)))
 
@@ -256,8 +263,10 @@ def test_cross_route_agreement_steps(yau_n3):
     m = yau_n3
     x = np.geomspace(0.5, 500.0, 200)
     native = abc_at_x(m, x)
-    r = np.interp(x, m.x, m.r)
-    via_r = abc_at_r(m, r)
+    # r at exactly these x: np.interp of the r table moves the point between
+    # nodes, and across a transition that moves A by more than the bound
+    r = m.engine.r_of(x)
+    via_r = route_abc_at_r(m, r)
     for direct, other in zip(native, via_r):
         assert np.all(np.abs(direct - other) <= 1e-5 * (1.0 + np.abs(direct)))
 

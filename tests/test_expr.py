@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvlab import expr
@@ -219,8 +219,28 @@ def test_derivative_no_more_accurate_than_value_domain():
         evaluate_derivative(parse_expression("ln(t - 2)"), 1.0)
 
 
+def _min1_sides(node, t, reach):
+    """For each min1 whose argument reaches 1 within ``reach`` of t, the side
+    of t (+1 right, -1 left) on which expr's rule gives the slope at t: an
+    argument at or above 1 has slope 0, below 1 the argument's slope, so the
+    side where the argument stays on the same side of 1 as at t."""
+    sides, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Unary):
+            stack.append(n.arg)
+            if n.op == "min1":
+                lo, mid, hi = (evaluate(n.arg, u) for u in (t - reach, t, t + reach))
+                if min(lo, mid, hi) <= 1.0 <= max(lo, mid, hi):
+                    sides.append(1 if (mid >= 1.0) == (hi > lo) else -1)
+        elif isinstance(n, Binary):
+            stack += [n.lhs, n.rhs]
+    return sides
+
+
 @settings(max_examples=150, deadline=None)
 @given(_trees(4), st.floats(min_value=0.05, max_value=20.0, allow_nan=False))
+@example(Unary("min1", Var()), 1.0)
 def test_derivative_agrees_with_central_difference(tree, t):
     node = tree
     try:
@@ -232,11 +252,21 @@ def test_derivative_agrees_with_central_difference(tree, t):
         return
     eps = 1e-6 * max(t, 1.0)
     try:
-        fd = (evaluate(node, t + eps) - evaluate(node, t - eps)) / (2 * eps)
+        sides = _min1_sides(node, t, 2 * eps)
+        if not sides:
+            fd = (evaluate(node, t + eps) - evaluate(node, t - eps)) / (2 * eps)
+        elif len(set(sides)) == 1:
+            # a min1 kink in reach: the one-sided second-order difference on
+            # the side whose slope expr's rule returns
+            h = sides[0] * eps
+            f0, f1, f2 = (evaluate(node, t + j * h) for j in range(3))
+            fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2 * h)
+        else:  # kinks on both sides of t: no difference of either side applies
+            return
     except EvaluationError:
         return
-    # min1 kinks and power-law curvature limit what a central difference can
-    # resolve; this is a smoke check, the closed forms above carry precision
+    # power-law curvature limits what a difference can resolve; this is a
+    # smoke check, the closed forms above carry precision
     assert d == pytest.approx(fd, rel=1e-3, abs=1e-3 * span)
 
 

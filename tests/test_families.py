@@ -22,7 +22,7 @@ from cvlab.families import (
 from cvlab.metric import BuildOptions
 from cvlab.profiles import ProfileError, validate, validate_xi
 
-from _oracles import YAU_TOTAL_MASS
+from _oracles import YAU_TOTAL_MASS, step_train_sample
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +196,12 @@ def test_lp_counterexample_gates():
 def test_yau_metric_has_bounded_curvature_stable_under_refinement():
     sups = []
     for scale in (1, 2):
-        opts = BuildOptions(
-            grid_size=4096 * scale, nodes_per_feature=256 * scale, x_max=512.0
-        )
+        opts = BuildOptions(grid_size=4096 * scale, x_max=512.0)
         m = yau_counterexample(3, 2, l_max=16, options=opts)
-        A, B, C = abc_native(m, m.x[1:])
+        # the same points at both scales: the grid itself is bisected per build
+        x = np.unique(np.concatenate((np.geomspace(1e-3, 512.0, 4096),
+                                      step_train_sample(m.profile.source))))
+        A, B, C = abc_native(m, x)
         assert np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(C))
         sups.append(max(np.max(np.abs(A)), np.max(np.abs(B)), np.max(np.abs(C))))
     assert abs(sups[1] - sups[0]) <= 0.05 * sups[0]

@@ -1,4 +1,4 @@
-"""The model path imports numpy only; scipy loads on demand."""
+"""The model path imports numpy only; scipy loads for a sampled generator alone."""
 
 import os
 import subprocess
@@ -46,8 +46,13 @@ assert integrals.ball_integral(poly, integrals.scalar_density(poly), 1.0) > 0.0
 assert integrals.average_scalar_curvature(yau, 20.0) > 0.0
 assert_scipy_free("single-ball integrals")
 
-# the two users of scipy still work, and load scipy.interpolate only
-assert all(np.isfinite(curvature.abc_at_x(poly, 1.0)))
+# both coordinates on both gauges: the r and x inverses, then the native route
+for model in (poly, yau):
+    for route, q in ((curvature.abc_at_r, 2.0), (curvature.abc_at_x, 1.0)):
+        assert all(np.isfinite(route(model, q)))
+assert_scipy_free("abc_at_r and abc_at_x")
+
+# the one user of scipy left still works, and loads scipy.interpolate only
 sampled = cvlab.SampledSource(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.25, 0.5]))
 assert sampled(1.5) == 0.375
 assert "scipy.interpolate" in sys.modules

@@ -243,6 +243,14 @@ def test_ibp_identity_from_f(yau_n3):
     assert mixed_curvature_ibp(yau_n3, 1, t_end=100.5).relative_gap <= 1e-9
 
 
+def test_ibp_identity_on_the_narrowest_lp_steps():
+    # beta = 5 at l_max = 75: transitions 1e-10 wide at x ~ 75, down at the
+    # bisection's relative width floor.  Measured gap 1.4e-7 on the bisected
+    # grid (4.3e-7 with 256 fixed nodes per transition).
+    m = lp_counterexample(2, p=2.37, alpha=2.48, beta=5.0, l_max=75)
+    assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-6
+
+
 def test_ibp_reports_its_condition(yau_n3):
     # n = 3, k = 2 to x = 2e4 by hand: bulk = int 2x dx = x^2 = 4e8, so
     # n (n-k) bulk = 1 200 000 000; the boundary -n v (1 - xi) reads

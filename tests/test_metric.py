@@ -43,7 +43,7 @@ from cvlab.metric import (
     save_metric,
     xi_from_fprime,
 )
-from cvlab.quadrature import gauss_nodes
+from cvlab.quadrature import cell_tails, gauss_nodes
 from cvlab.profiles import (
     ClosedFormSource,
     FamilySpec,
@@ -408,6 +408,32 @@ def test_describe_contains_the_essentials(poly05_n2):
     assert json.loads(json.dumps(d)) == d
 
 
+def test_yau_grid_record_pins_the_bisection(yau_n3, poly05_n2):
+    record = yau_n3.engine.grid_record
+    # deterministic: base geomspace and breakpoints, then the bisected cells
+    assert (record.base_nodes, record.bisected_cells, record.rounds, record.nodes) == (
+        4349, 544, 4, 4893
+    )
+    assert record.nodes == yau_n3.native.size
+    assert record.tolerance == metric_module.GRID_TOL
+    assert yau_n3.describe()["grid"] == record.as_dict()
+    # the r grid is not bisected
+    poly = poly05_n2.engine.grid_record
+    assert (poly.base_nodes, poly.bisected_cells, poly.rounds) == (poly05_n2.native.size, 0, 0)
+
+
+def test_yau_grid_meets_its_node_budget_and_tolerance(yau_n3):
+    m = yau_n3
+    assert m.native.size <= 8000
+    # every final cell, recomputed from the model's own F' and F'' at its nodes
+    nodes = gauss_nodes(m.native)
+    p, pp = m.engine.fprime_of(nodes), m.engine.fpp_of(nodes)
+    tail, mass = cell_tails(p * pp / np.hypot(1.0, p) ** 3, m.native[:-1], m.native[1:])
+    scale = np.sum(np.abs(mass))
+    assert np.max(tail) <= metric_module.GRID_TOL * scale
+    assert np.max(tail) / scale == pytest.approx(m.engine.grid_record.worst_estimate, rel=1e-12)
+
+
 def test_build_options_from_env(monkeypatch):
     monkeypatch.setenv("CVLAB_GRID", "1024")
     opts = BuildOptions.from_env()
@@ -515,6 +541,32 @@ def test_loaded_fpp_profile_is_the_saved_generator(tmp_path):
     assert np.array_equal(loaded.profile.source(loaded.native), m.engine.fpp_of(m.native))
     # x = 2.1 lies on the plateau of the l = 2 step, where F'' = l = 2
     assert loaded.profile.source(2.1) == pytest.approx(2.0, rel=1e-12)
+
+
+# a yau n=3, l_max=16 model file as saved before the x grid was bisected
+PARENT_FORMAT = (
+    '{"schema": 2, "n": 3, "options": {"grid_size": 4096, "r_max": 100000000.0, '
+    '"x_max": null, "h0": 1.0, "nodes_per_feature": 256, "quad_rel_tol": 1e-08, '
+    '"series_points": 64}, "profile": {"kind": "fpp", "name": "smooth-steps(h~l^1, '
+    'w~l^-2.5, l<=16)", "source": "SmoothStepSource", "spec": {"family": '
+    '{"height_exponent": 1.0, "width_exponent": 2.5, "l_min": 2, "l_max": 16}, '
+    '"factor": 0.25}}}\n'
+)
+
+
+def test_load_drops_the_retired_nodes_per_feature_option(tmp_path, caplog):
+    path = tmp_path / "model.json"
+    path.write_text(PARENT_FORMAT)
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        loaded = load_metric(path)
+    notes = [rec for rec in caplog.records if "nodes_per_feature" in rec.getMessage()]
+    assert len(notes) == 1 and notes[0].levelname == "WARNING"
+    assert "nodes_per_feature" not in loaded.describe()["options"]
+    # the same recipe, rebuilt on the bisected grid
+    built = yau_counterexample(3, 2, l_max=16)
+    assert loaded.describe() == built.describe()
+    for table in ("x", "r", "v", "s"):
+        assert np.array_equal(getattr(loaded, table), getattr(built, table)), table
 
 
 def test_save_is_atomic(tmp_path, poly05_n2):

@@ -9,7 +9,15 @@ import weakref
 import numpy as np
 import pytest
 
-from cvlab.quadrature import CumulativeIntegral, QuadratureError, adaptive_integral, gauss_nodes
+from numpy.polynomial.legendre import Legendre
+
+from cvlab.quadrature import (
+    CumulativeIntegral,
+    QuadratureError,
+    adaptive_integral,
+    cell_tails,
+    gauss_nodes,
+)
 
 # uneven cells, the first one at the origin
 GRID = np.array([0.0, 0.3, 0.45, 1.0, 1.7, 2.0])
@@ -134,3 +142,15 @@ def test_adaptive_integral_raises_on_a_non_finite_integrand():
     with pytest.raises(QuadratureError) as exc:
         adaptive_integral(lambda t: np.where(t < 0.5, t, np.nan), 0.0, 1.0)
     assert np.isnan(exc.value.achieved)
+
+
+def test_cell_tails_read_the_two_highest_legendre_coefficients():
+    lo, hi = GRID[:-1], GRID[1:]
+    nodes = gauss_nodes(GRID)
+    u = (2.0 * nodes - (lo + hi)[:, None]) / (hi - lo)[:, None]  # each cell on [-1, 1]
+    # degree 5 has no tail; 3 P_6 - 2 P_7 has |c6| + |c7| = 5 on every cell
+    tail, mass = cell_tails(Legendre([1.0, 0.0, 0.0, 0.0, 0.0, 2.0])(u), lo, hi)
+    assert np.all(tail <= 1e-14) and np.allclose(mass, hi - lo, rtol=1e-14)
+    tail, mass = cell_tails(Legendre([0.0] * 6 + [3.0, -2.0])(u), lo, hi)
+    assert np.allclose(tail, 0.5 * (hi - lo) * 5.0, rtol=1e-13)
+    assert np.all(np.abs(mass) <= 1e-14)
