@@ -16,12 +16,15 @@ the origin (where B = A/2 and C = A):
 
     B = (xi*v - w) / v^2       C = 2*w / v^2
 
-The r grid is geometric plus the profile's breakpoints and fixed refinement.
-The x grid starts the same way and is then bisected until, in every cell,
-the Legendre tail of xi'(x) = F'F''/(1 + F'^2)^(3/2) at the cell's Gauss
-nodes is within GRID_TOL of the total variation of xi; a step train's
-transitions get the nodes they need and no fixed count.  Each engine keeps a
-``GridRecord`` of how its grid was made.
+The r grid is geometric plus the profile's breakpoints and fixed refinement
+(16 nodes per decade of its span), and is then bisected until, in every cell,
+the Legendre tail of xi's own values at the cell's Gauss nodes, and the gap at
+each end to the neighbouring cell's interpolant, are within GRID_TOL of the
+total variation of xi.  The x grid starts the same way (4 096
+geometric nodes) and is bisected on the Legendre tail of
+xi'(x) = F'F''/(1 + F'^2)^(3/2); a step train's transitions get the nodes they
+need and no fixed count.  One loop serves both gauges, and each engine keeps
+a ``GridRecord`` of how its grid was made.
 """
 
 from __future__ import annotations
@@ -49,11 +52,14 @@ from .profiles import (
     eval_profile,
 )
 from .quadrature import (
+    FD_STEP,
     CumulativeIntegral,
+    cell_ends,
     cell_tails,
     derivative_fd,
     extrapolate_limit,
     gauss_nodes,
+    legendre_tail,
     scalar_like,
 )
 
@@ -66,8 +72,10 @@ NEWTON_STEPS = 4  # most polishing steps an inverse takes
 RESIDUAL_WARN = 1e-12  # an inverse's final log-residual above this is reported
 FLAT_SLOPE = 1e-9  # d ln q/d ln t below this: the saturated x plateau
 MIN_CELL = 1e-14  # relative width under which a grid cell is neither kept nor bisected
-GRID_TOL = 1e-12  # an x cell's Legendre tail of xi'(x) over the total variation of xi
-GRID_ROUNDS = 40  # most bisection rounds of an x grid
+GRID_TOL = 1e-12  # a cell's Legendre tail (of xi on r, of xi'(x) on x) over xi's total variation
+GRID_ROUNDS = 40  # most bisection rounds of a grid
+X_BASE_NODES = 4096  # geometric base nodes of an x grid when grid_size is None
+R_NODES_PER_DECADE = 16  # geometric base nodes per decade of an r grid when grid_size is None
 
 
 def ball_coefficient(n: int) -> float:
@@ -115,7 +123,7 @@ class Classification:
 
 @dataclass(frozen=True)
 class BuildOptions:
-    grid_size: int = 4096
+    grid_size: int | None = None  # base geometric nodes; None: 4 096 on x, 16 per decade on r
     r_max: float = 1e8  # span of the r-grid for xi- and h-kind profiles
     x_max: float | None = None  # span of the x-grid for fpp-kind; default from profile
     h0: float = 1.0
@@ -133,27 +141,33 @@ class BuildOptions:
 @dataclass(frozen=True)
 class GridRecord:
     """How a model's grid was made: ``base_nodes`` (geometric nodes, breakpoints
-    and a source's fixed refinement), then, on the x gauge, ``bisected_cells``
-    split over ``rounds`` rounds, leaving ``worst_estimate`` as the largest
-    cell's Legendre tail of xi'(x) over the total variation of xi (the bisection
-    stops when it is at most ``tolerance``).  The xi gauge bisects nothing."""
+    and a source's fixed refinement), then ``bisected_cells`` split over
+    ``rounds`` rounds, leaving ``worst_estimate`` as the largest cell's
+    Legendre tail over the total variation of xi (the bisection stops when it
+    is at most ``tolerance``).  The tail is of xi's values on the r gauge (or
+    the larger gap at the cell's ends to its neighbours' interpolants) and of
+    xi'(x) times the cell's half-width on the x gauge."""
 
     nodes: int
     base_nodes: int
-    bisected_cells: int = 0
-    rounds: int = 0
-    worst_estimate: float = 0.0
-    tolerance: float = 0.0
+    bisected_cells: int
+    rounds: int
+    worst_estimate: float
+    tolerance: float
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _master_grid(source, end: float, opts: BuildOptions) -> np.ndarray:
+def _master_grid(source, end: float, size: int | None) -> np.ndarray:
+    """The origin, ``size`` geometric nodes up to ``end`` (None: R_NODES_PER_DECADE
+    per decade), and the source's breakpoints and refinement."""
     lo = min(1e-8, end * 1e-10)
+    if size is None:
+        size = round(R_NODES_PER_DECADE * math.log10(end / lo))
     bps = np.asarray(source.breakpoints(), dtype=float)
     ref = np.asarray(source.refinement_nodes(), dtype=float)
-    grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, opts.grid_size), bps, ref)))
+    grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, size), bps, ref)))
     grid = grid[(grid >= 0.0) & (grid <= end)]
     # prune near-duplicates so no quadrature cell degenerates; a breakpoint is
     # a kink and never goes, its near neighbour does
@@ -169,27 +183,23 @@ _as_float = partial(np.asarray, dtype=float)
 _EPS = float(np.finfo(float).eps)
 
 
-def _bisected_grid(grid, fpp, fp):
-    """The x grid bisected until each cell resolves xi'(x) = F'F''/(1 + F'^2)^(3/2).
+def _bisected_grid(gauge: str, grid, evaluate, estimate):
+    """``grid`` bisected until every cell's error estimate is within GRID_TOL.
 
-    Each round takes, at every cell's Gauss nodes, the Legendre tail of xi'
-    (``cell_tails``) and bisects the cells whose tail exceeds GRID_TOL times
-    the total variation of xi, down to the MIN_CELL width floor and for at most
-    GRID_ROUNDS rounds.  F'' (``fpp``) and the source's F' (``fp``) run on the
-    new cells only; where ``fp`` returns None (no closed form) each round reads
-    F' from the running integral of the F'' node values instead.  Returns the
-    grid, F'' and the closed-form F' (or None) at its Gauss nodes, and its
-    ``GridRecord``.
+    ``evaluate(nodes)`` gives the gauge's node values at Gauss nodes, a tuple
+    of arrays shaped like ``nodes``; ``estimate(grid, values)`` gives each
+    cell's Legendre tail and the scale it is held against (the total
+    variation of xi).  Each round bisects the cells whose tail exceeds
+    GRID_TOL times the scale, down to the MIN_CELL width floor and for at most
+    GRID_ROUNDS rounds; ``evaluate`` runs on the new cells only.  Returns the
+    grid, the node values on it and its ``GridRecord``.
     """
     base = grid.size
-    pp = fpp(gauss_nodes(grid))
-    p = fp(gauss_nodes(grid))
+    values = evaluate(gauss_nodes(grid))
     bisected = 0
     for rounds in range(GRID_ROUNDS + 1):
         lo, hi = grid[:-1], grid[1:]
-        q = CumulativeIntegral(pp, grid).at_nodes() if p is None else p
-        tail, mass = cell_tails(q * pp / np.power(np.hypot(1.0, q), 3), lo, hi)
-        scale = float(np.sum(np.abs(mass)))
+        tail, scale = estimate(grid, values)
         split = (tail > GRID_TOL * scale) & (hi - lo > 2.0 * MIN_CELL * hi)
         if rounds == GRID_ROUNDS or not np.any(split):
             break
@@ -202,24 +212,50 @@ def _bisected_grid(grid, fpp, fp):
         fresh = np.zeros(lo.size, dtype=bool)
         fresh[first], fresh[first + 1] = True, True
         grid = np.append(lo, hi[-1])
-        nodes = gauss_nodes(grid)[fresh]
-        pp = _merge_rows(pp[~split], fpp(nodes), fresh)
-        if p is not None:
-            p = _merge_rows(p[~split], fp(nodes), fresh)
+        new = evaluate(gauss_nodes(grid)[fresh])
+        values = tuple(_merge_rows(old[~split], rows, fresh) for old, rows in zip(values, new))
         bisected += int(np.count_nonzero(split))
     worst = float(np.max(tail)) / scale if scale > 0 else 0.0
     if np.any(split):
-        log.warning("x grid: %d cell(s) above tolerance after %d bisection rounds",
-                    int(np.count_nonzero(split)), rounds)
-    log.info("x grid: %d base nodes, %d cells bisected in %d rounds, %d nodes, worst cell "
-             "estimate %.3g (tolerance %.0e)", base, bisected, rounds, grid.size, worst, GRID_TOL)
-    return grid, pp, p, GridRecord(grid.size, base, bisected, rounds, worst, GRID_TOL)
+        log.warning("%s grid: %d cell(s) above tolerance after %d bisection rounds",
+                    gauge, int(np.count_nonzero(split)), rounds)
+    log.info("%s grid: %d base nodes, %d cells bisected in %d rounds, %d nodes, worst cell "
+             "estimate %.3g (tolerance %.0e)", gauge, base, bisected, rounds, grid.size, worst,
+             GRID_TOL)
+    return grid, values, GridRecord(grid.size, base, bisected, rounds, worst, GRID_TOL)
 
 
 def _merge_rows(kept_rows, fresh_rows, fresh):
     out = np.empty((fresh.size, kept_rows.shape[1]))
     out[~fresh], out[fresh] = kept_rows, fresh_rows
     return out
+
+
+def _xi_tail(grid, values):
+    """r gauge: each cell's estimate for xi, and xi's variation over the nodes in
+    order, counted from xi = 0 (so a constant xi, as of an origin-singular
+    h = t^-p, is held against its own size).  The estimate is the larger of
+    the Legendre tail of xi at the cell's nodes and the gaps at its two ends
+    to its neighbours' interpolants: a kink between a cell's last node and its
+    edge leaves the tail blind, not the gap."""
+    (xi,) = values
+    left, right = cell_ends(xi)
+    gap = np.abs(right[:-1] - left[1:])
+    tail = legendre_tail(xi)
+    tail[:-1] = np.maximum(tail[:-1], gap)
+    tail[1:] = np.maximum(tail[1:], gap)
+    return tail, float(np.sum(np.abs(np.diff(xi.ravel(), prepend=0.0))))
+
+
+def _xi_prime_tail(grid, values):
+    """x gauge: the half-width times the Legendre tail of xi'(x) = F'F''/(1 + F'^2)^(3/2)
+    at each cell's nodes, and xi's variation (the sum of |xi'| over the cells).
+    Without a closed-form F' (``values`` holds F'' alone), F' is the running
+    integral of the F'' node values."""
+    pp = values[0]
+    q = values[1] if len(values) > 1 else CumulativeIntegral(pp, grid).at_nodes()
+    tail, mass = cell_tails(q * pp / np.power(np.hypot(1.0, q), 3), grid[:-1], grid[1:])
+    return tail, float(np.sum(np.abs(mass)))
 
 
 def _profile_fn(profile: GeneratorProfile):
@@ -313,7 +349,7 @@ class Engine:
 
 def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     """The r gauge: xi(r) given (or derived from an injected h); A = xi'(r)/h."""
-    grid = _master_grid(profile.source, min(profile.domain_end, opts.r_max), opts)
+    grid = _master_grid(profile.source, min(profile.domain_end, opts.r_max), opts.grid_size)
 
     def xi_prime_fd(t):
         t = _as_float(t)
@@ -333,8 +369,8 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
                 f"xi(0) = {xi0:.3g}; the h-integral needs xi(0) = 0 to converge"
             )
         xi_fn = _profile_fn(profile)
+        grid, (xi_nodes,), record = _bisected_grid("r", grid, lambda t: (xi_fn(t),), _xi_tail)
         nodes = gauss_nodes(grid)
-        xi_nodes = xi_fn(nodes)
         # xi(0) = 0 makes xi(t)/t integrable; quadrature nodes never sit at 0
         log_h = CumulativeIntegral(xi_nodes / nodes, grid)
 
@@ -364,12 +400,11 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             if hp is None:
                 # keep the difference stencil strictly inside (0, grid_end)
                 floor = grid[0] if grid[0] > 0 else grid[1]
-                centers = np.clip(t, floor, grid[-1] * (1.0 - 2e-6))
+                centers = np.clip(t, floor, grid[-1] * (1.0 - 4.0 * FD_STEP))
                 hp = derivative_fd(h_fn, centers)
             return np.where(t == 0.0, 0.0, -t * _as_float(hp) / h_fn(t))
 
-        nodes = gauss_nodes(grid)
-        xi_nodes = xi_fn(nodes)
+        grid, (xi_nodes,), record = _bisected_grid("r", grid, lambda t: (xi_fn(t),), _xi_tail)
 
         def h_at_nodes():
             return h_fn(gauss_nodes(grid))
@@ -390,7 +425,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         return _xi_parts(xi_prime_of(t), h_at_nodes(), v.at_nodes(), w.at_nodes(), xi_fn(t))
 
     return Engine(
-        Representation.FROM_XI, profile, grid, GridRecord(grid.size, grid.size), h_origin,
+        Representation.FROM_XI, profile, grid, record, h_origin,
         parts_of=parts_of,
         node_parts=node_parts,
         xi_of=xi_fn,
@@ -414,11 +449,18 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             end = 8.0 * float(np.max(bps)) if len(bps) else 1e4
     fpp = _profile_fn(profile)
     fp = profile.source.cumulative
-    grid, pp_nodes, p_nodes, record = _bisected_grid(
-        _master_grid(profile.source, float(end), opts), fpp, fp
-    )
+    size = X_BASE_NODES if opts.grid_size is None else opts.grid_size
+    grid = _master_grid(profile.source, float(end), size)
+
+    def evaluate(t):  # F'' and, where it has a closed form (not None), F'
+        return tuple(u for u in (fpp(t), fp(t)) if u is not None)
+
+    grid, values, record = _bisected_grid("x", grid, evaluate, _xi_prime_tail)
     nodes = gauss_nodes(grid)
-    if p_nodes is None:  # no closed-form F': tabulate it
+    if len(values) == 2:
+        pp_nodes, p_nodes = values
+    else:  # no closed-form F': tabulate it
+        (pp_nodes,) = values
         fp = CumulativeIntegral(pp_nodes, grid)
         p_nodes = fp.at_nodes()
 
@@ -509,7 +551,8 @@ class _TableInverse:
             done = (np.abs(res) <= 2.0 * _EPS) | (np.abs(slope * res) <= _EPS)
             if steps == NEWTON_STEPS or np.all(done):
                 break
-            t = np.clip(t * np.exp(-slope * res), lo, hi)
+            # a point that is done keeps its t, so no query moves it with others
+            t = np.where(done, t, np.clip(t * np.exp(-slope * res), lo, hi))
         if np.any(origin):
             t, res = np.where(origin, 0.0, t), np.where(origin, 0.0, res)
         self._report(res, i, steps)

@@ -8,9 +8,9 @@ be built from node values computed once for several tables, and
 ``at_nodes()`` gives a table's own values there without a query; one model
 evaluates its engine once per node.  Cells never place nodes on the
 boundary, so integrands with removable endpoint behaviour (e.g. xi(t)/t at
-t=0) are safe as long as the grid starts at the endpoint.  ``cell_tails``
-reads a per-cell error estimate off the same node values, with no further
-integrand call; the x-gauge grid bisection uses it.
+t=0) are safe as long as the grid starts at the endpoint.  ``legendre_tail``
+and ``cell_tails`` read a per-cell error estimate off the same node values,
+with no further integrand call; the grid bisection of both gauges uses them.
 
 One-off integrals to a requested tolerance (a single ball) go through
 `adaptive_integral`: Gauss-Legendre bisection from the breakpoints, whose
@@ -90,14 +90,29 @@ def _rule_sums(vals, lo, hi):
     return 0.5 * (hi - lo) * (vals @ _gl_rule(vals.shape[-1])[1])
 
 
+def legendre_tail(vals):
+    """|c_(order-2)| + |c_(order-1)| of each cell's Gauss node values ``vals``
+    (cells, order): the two highest Legendre coefficients of the interpolant
+    through the nodes, the chopping tail of Aurentz & Trefethen (ACM TOMS 43,
+    2017), which bounds how far the interpolant is from the function."""
+    tail = np.abs(vals @ _legendre_matrix(vals.shape[-1])[-2:].T)
+    return tail[..., 0] + tail[..., 1]
+
+
+def cell_ends(vals):
+    """(left, right): the value at each end of each cell of the interpolant
+    through its Gauss node values ``vals`` (cells, order)."""
+    order = vals.shape[-1]
+    ends = _legendre_matrix(order).T @ legvander(np.array([-1.0, 1.0]), order - 1).T
+    out = vals @ ends
+    return out[..., 0], out[..., 1]
+
+
 def cell_tails(vals, lo, hi):
     """(tail, integral) of each cell [lo, hi] from its Gauss node values ``vals``
-    (cells, order): the half-width times |c_(order-2)| + |c_(order-1)|, the two
-    highest Legendre coefficients of the interpolant through the nodes (the
-    chopping tail of Aurentz & Trefethen, ACM TOMS 43, 2017), and the cell's
-    Gauss-Legendre sum."""
-    tail = np.abs(vals @ _legendre_matrix(vals.shape[-1])[-2:].T)
-    return 0.5 * (hi - lo) * (tail[..., 0] + tail[..., 1]), _rule_sums(vals, lo, hi)
+    (cells, order): the half-width times ``legendre_tail(vals)``, and the
+    cell's Gauss-Legendre sum."""
+    return 0.5 * (hi - lo) * legendre_tail(vals), _rule_sums(vals, lo, hi)
 
 
 def scalar_like(t, out):
@@ -218,11 +233,19 @@ def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: f
     return total
 
 
-def derivative_fd(f, t, rel_step: float = 1e-6):
-    """Centered difference of a callable at t > 0 with a relative step."""
+FD_STEP = 5e-4  # relative step of derivative_fd: its stencil spans t (1 +- 2 FD_STEP)
+
+
+def derivative_fd(f, t, rel_step: float = FD_STEP):
+    """Fourth-order centred difference of a callable at t > 0 with a relative
+    step, from one call of ``f`` on the four stencil points.  Its rounding
+    error is about eps |f| / (rel_step t), so a wide step with a high order
+    keeps more digits of a slope taken from a nearly constant f (xi of an
+    h-kind profile far out) than a narrow second-order stencil."""
     t_arr = np.asarray(t, dtype=float)
     h = np.maximum(np.abs(t_arr), 1e-290) * rel_step
-    return (np.asarray(f(t_arr + h)) - np.asarray(f(t_arr - h))) / (2.0 * h)
+    f2, f1, g1, g2 = np.asarray(f(t_arr + np.multiply.outer([-2.0, -1.0, 1.0, 2.0], h)))
+    return (8.0 * (g1 - f1) - (g2 - f2)) / (12.0 * h)
 
 
 def extrapolate_limit(values) -> float:

@@ -43,7 +43,7 @@ from cvlab.metric import (
     save_metric,
     xi_from_fprime,
 )
-from cvlab.quadrature import cell_tails, gauss_nodes
+from cvlab.quadrature import cell_ends, cell_tails, gauss_nodes, legendre_tail
 from cvlab.profiles import (
     ClosedFormSource,
     FamilySpec,
@@ -270,6 +270,18 @@ def test_injected_h_recovers_xi():
     assert np.allclose(m.xi[1:], want, atol=2e-6)
 
 
+def test_injected_h_curvature_matches_its_xi_twin(poly05_n2):
+    # h = (1 + t)^-1/2 is the metric of xi = t/(2(1 + t)); the injected h
+    # takes xi' by a centred difference of xi, whose rounding error the
+    # series, the Chern total and the IBP identity average over the nodes
+    m = build_metric(GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5")), 2)
+    for k in (1, 2):
+        got, want = normalized_sigma_series(m, k), normalized_sigma_series(poly05_n2, k)
+        assert np.allclose(got.normalized, want.normalized, rtol=1e-12, atol=0.0)
+    assert chern_number(m).value == pytest.approx(chern_number(poly05_n2).value, rel=1e-12)
+    assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-10
+
+
 def test_injected_h_sets_f_at_the_origin():
     # f = v/r tends to h(0), which an injected h need not share with BuildOptions.h0
     p = GeneratorProfile(GeneratorKind.H, ClosedFormSource("2 * (1 + t) ^ -0.5"))
@@ -297,7 +309,8 @@ def test_build_metric_resolves_family_spec():
 
 def test_radius_from_s_round_trip(poly05_n2):
     m = poly05_n2
-    for idx in (10, 100, 1000, len(m.s) - 1):
+    n = len(m.s)  # nodes by fraction: the r grid's size is an output of its bisection
+    for idx in (max(1, n // 400), n // 40, n // 4, n - 1):
         r = m.radius_from_s(m.s[idx])
         assert r == pytest.approx(m.native[idx], rel=1e-9)
     with pytest.raises(ValueError):
@@ -404,11 +417,12 @@ def test_describe_contains_the_essentials(poly05_n2):
     assert d["grid_nodes"] == len(poly05_n2.native)
     # the grid, spans and tolerance behind every number, as JSON
     assert d["options"] == asdict(poly05_n2.options)
-    assert d["options"]["grid_size"] == 4096 and d["options"]["quad_rel_tol"] == 1e-8
+    # grid_size None: each gauge's own base (4 096 on x, 16 per decade on r)
+    assert d["options"]["grid_size"] is None and d["options"]["quad_rel_tol"] == 1e-8
     assert json.loads(json.dumps(d)) == d
 
 
-def test_yau_grid_record_pins_the_bisection(yau_n3, poly05_n2):
+def test_yau_grid_record_pins_the_bisection(yau_n3):
     record = yau_n3.engine.grid_record
     # deterministic: base geomspace and breakpoints, then the bisected cells
     assert (record.base_nodes, record.bisected_cells, record.rounds, record.nodes) == (
@@ -417,9 +431,99 @@ def test_yau_grid_record_pins_the_bisection(yau_n3, poly05_n2):
     assert record.nodes == yau_n3.native.size
     assert record.tolerance == metric_module.GRID_TOL
     assert yau_n3.describe()["grid"] == record.as_dict()
-    # the r grid is not bisected
-    poly = poly05_n2.engine.grid_record
-    assert (poly.base_nodes, poly.bisected_cells, poly.rounds) == (poly05_n2.native.size, 0, 0)
+
+
+def test_r_grid_record_pins_the_bisection(poly05_n2):
+    record = poly05_n2.engine.grid_record
+    # 16 geometric nodes per decade over [1e-8, 1e8] and the origin, then the
+    # cells where xi = t/(2(1 + t)) bends most, in two rounds
+    assert (record.base_nodes, record.bisected_cells, record.rounds, record.nodes) == (
+        257, 142, 2, 399
+    )
+    assert record.nodes == poly05_n2.native.size
+    grid = poly05_n2.describe()["grid"]
+    assert grid == record.as_dict()
+    assert 0.0 < grid["worst_estimate"] <= grid["tolerance"] == metric_module.GRID_TOL
+
+
+def test_r_grids_meet_their_node_budget():
+    far = BuildOptions(r_max=1e24)
+    assert build_metric(polynomial_xi(0.5), 2, far).native.size <= 800
+    assert build_metric(polynomial_xi(0.3), 2, far).native.size <= 800
+    assert s3_metric(2, r0=1.0, options=far).native.size <= 1700
+    flat = flat_metric(2, options=far)
+    assert flat.native.size == flat.engine.grid_record.base_nodes == 513
+
+
+def _xi_cell_estimates(m):
+    """Each r cell's estimate, recomputed from the model's xi at its Gauss nodes:
+    the Legendre tail, or a larger gap to a neighbour's interpolant at an end."""
+    xi = m.engine.xi_of(gauss_nodes(m.native))
+    left, right = cell_ends(xi)
+    gap = np.abs(right[:-1] - left[1:])
+    est = legendre_tail(xi)
+    est[:-1], est[1:] = np.maximum(est[:-1], gap), np.maximum(est[1:], gap)
+    return est, np.sum(np.abs(np.diff(xi.ravel(), prepend=0.0)))
+
+
+def test_r_grid_meets_its_tolerance(poly05_n2, s3_n2):
+    for m in (poly05_n2, s3_n2):
+        est, scale = _xi_cell_estimates(m)
+        assert np.max(est) <= metric_module.GRID_TOL * scale
+        assert np.max(est) / scale == pytest.approx(m.engine.grid_record.worst_estimate, rel=1e-12)
+
+
+def test_injected_h_grid_stops_within_tolerance(caplog):
+    h_kind = GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5"), name="h-kind")
+    with caplog.at_level(logging.INFO, logger="cvlab.metric"):
+        m = build_metric(h_kind, 2)
+    assert not [rec for rec in caplog.records if rec.levelname == "WARNING"]
+    lines = [rec.getMessage() for rec in caplog.records if "bisected" in rec.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith("r grid: ")
+    assert m.engine.grid_record.rounds < metric_module.GRID_ROUNDS
+    # a constant xi (h = t^-1.2 truncated at the grid floor) is already resolved
+    singular = build_metric(GeneratorProfile(GeneratorKind.H, ClosedFormSource("t ^ -1.2")), 2)
+    assert singular.engine.grid_record.bisected_cells == 0
+
+
+def test_explicit_base_rebuilds_the_geometric_r_grid():
+    # grid_size = 4096, as a saved schema-2 file names it: the geomspace of
+    # that size, which the bisection leaves as it is on poly
+    m = build_metric(polynomial_xi(0.5), 2, BuildOptions(grid_size=4096))
+    assert np.array_equal(m.native, np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 4096))))
+    assert m.engine.grid_record.bisected_cells == 0
+
+
+def test_r_grid_resolves_a_min1_kink():
+    # xi = t up to the kink at r = 1/2, then 1/2; log h = 1/2 + ln(2r)/2 past it.
+    # The kink falls between geometric nodes and is no breakpoint.  A kink
+    # between a cell's last Gauss node and its edge leaves the Legendre tail
+    # blind; the gap between neighbouring interpolants there is not, and the
+    # bisection closes in on r = 1/2 until the kink cell is ~1e-11 wide, where
+    # the estimate meets the tolerance: it stops below GRID_ROUNDS and above
+    # the MIN_CELL floor, with no warning.  (Fixed 4 097-node grid: 1.6e-8.)
+    p = GeneratorProfile(GeneratorKind.XI, ClosedFormSource("0.5 * min1(2 * t)"), name="kink")
+    m = build_metric(p, 2)
+    record = m.engine.grid_record
+    assert (record.base_nodes, record.bisected_cells, record.rounds, record.nodes) == (
+        257, 91, 33, 348
+    )
+    assert record.worst_estimate <= record.tolerance
+    i = np.searchsorted(m.native, 0.5)
+    assert 2.0 * metric_module.MIN_CELL < m.native[i] - m.native[i - 1] < 1e-10
+    past = m.native[m.native > 0.5]
+    want = 0.5 + 0.5 * np.log(2.0 * past)
+    assert np.max(np.abs(-np.log(m.engine.h_of(past)) - want)) <= 1e-12
+    assert np.max(np.abs(-np.log(m.h[m.native > 0.5]) - want)) <= 1e-12
+
+
+def test_inverses_answer_a_point_alike_alone_or_in_a_batch(poly05_n2, yau_n3):
+    # a point whose Newton polish is done keeps its radius while batch-mates
+    # still step, so an array query answers each point as a scalar query does
+    for m in (poly05_n2, yau_n3):
+        s = np.geomspace(m.s[1], m.s[-1], 97)
+        batch = m.radius_from_s(s)
+        assert all(batch[i] == m.radius_from_s(float(q)) for i, q in enumerate(s))
 
 
 def test_yau_grid_meets_its_node_budget_and_tolerance(yau_n3):
@@ -562,11 +666,14 @@ def test_load_drops_the_retired_nodes_per_feature_option(tmp_path, caplog):
     notes = [rec for rec in caplog.records if "nodes_per_feature" in rec.getMessage()]
     assert len(notes) == 1 and notes[0].levelname == "WARNING"
     assert "nodes_per_feature" not in loaded.describe()["options"]
-    # the same recipe, rebuilt on the bisected grid
-    built = yau_counterexample(3, 2, l_max=16)
+    # the same recipe, rebuilt on the bisected grid; its explicit 4 096 base
+    # nodes are the x gauge's default, so the tables are the default build's too
+    built = yau_counterexample(3, 2, l_max=16, options=BuildOptions(grid_size=4096))
     assert loaded.describe() == built.describe()
+    default = yau_counterexample(3, 2, l_max=16)
     for table in ("x", "r", "v", "s"):
         assert np.array_equal(getattr(loaded, table), getattr(built, table)), table
+        assert np.array_equal(getattr(loaded, table), getattr(default, table)), table
 
 
 def test_save_is_atomic(tmp_path, poly05_n2):
@@ -599,7 +706,8 @@ def _assert_scalar_contract(fn, points):
 @pytest.mark.parametrize("fixture", ["poly05_n2", "lp_model"])
 def test_point_functions_scalar_contract(fixture, request):
     m = request.getfixturevalue(fixture)
-    idx = [100, 1000, 2000]
+    n = len(m.s)
+    idx = [n // 40, n // 4, n // 2]
     r, x, s = m.r[idx], m.x[idx], m.s[idx]
     _assert_scalar_contract(lambda t: abc_native(m, t), m.native[idx])
     _assert_scalar_contract(lambda q: abc_at_r(m, q), r)

@@ -15,8 +15,10 @@ from cvlab.quadrature import (
     CumulativeIntegral,
     QuadratureError,
     adaptive_integral,
+    cell_ends,
     cell_tails,
     gauss_nodes,
+    legendre_tail,
 )
 
 # uneven cells, the first one at the origin
@@ -154,3 +156,19 @@ def test_cell_tails_read_the_two_highest_legendre_coefficients():
     tail, mass = cell_tails(Legendre([0.0] * 6 + [3.0, -2.0])(u), lo, hi)
     assert np.allclose(tail, 0.5 * (hi - lo) * 5.0, rtol=1e-13)
     assert np.all(np.abs(mass) <= 1e-14)
+    assert np.allclose(legendre_tail(Legendre([0.0] * 6 + [3.0, -2.0])(u)), 5.0, rtol=1e-13)
+
+
+def test_cell_ends_extend_each_interpolant_to_its_edges():
+    # a degree-7 polynomial is its own interpolant: its ends are its values there
+    p = Legendre([0.3, -1.0, 0.5, 0.25, -0.125, 2.0, 1.5, -0.75])
+    lo, hi = GRID[:-1], GRID[1:]
+    u = (2.0 * gauss_nodes(GRID) - (lo + hi)[:, None]) / (hi - lo)[:, None]
+    left, right = cell_ends(p(u))
+    assert np.allclose(left, p(-1.0), rtol=1e-13) and np.allclose(right, p(1.0), rtol=1e-13)
+    # a kink at 0.999 lies past the last Gauss node of [0, 1]: the tail is blind
+    # to it, the gap between the two cells' interpolants at t = 1 is not
+    vals = np.minimum(gauss_nodes(np.array([0.0, 1.0, 2.0])), 0.999)
+    left, right = cell_ends(vals)
+    assert legendre_tail(vals)[0] <= 1e-15
+    assert right[0] - left[1] == pytest.approx(1e-3, rel=1e-10)
