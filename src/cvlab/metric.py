@@ -52,7 +52,6 @@ from .profiles import (
     eval_profile,
 )
 from .quadrature import (
-    FD_STEP,
     CumulativeIntegral,
     cell_ends,
     cell_tails,
@@ -159,12 +158,15 @@ class GridRecord:
         return asdict(self)
 
 
-def _master_grid(source, end: float, size: int | None) -> np.ndarray:
-    """The origin, ``size`` geometric nodes up to ``end`` (None: R_NODES_PER_DECADE
-    per decade), and the source's breakpoints and refinement."""
-    lo = min(1e-8, end * 1e-10)
-    if size is None:
-        size = round(R_NODES_PER_DECADE * math.log10(end / lo))
+def _grid_floor(end: float) -> float:
+    """The first positive geometric node of a grid up to ``end``."""
+    return min(1e-8, end * 1e-10)
+
+
+def _master_grid(source, end: float, size: int) -> np.ndarray:
+    """The origin, ``size`` geometric nodes up to ``end``, and the source's
+    breakpoints and refinement."""
+    lo = _grid_floor(end)
     bps = np.asarray(source.breakpoints(), dtype=float)
     ref = np.asarray(source.refinement_nodes(), dtype=float)
     grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, size), bps, ref)))
@@ -349,13 +351,20 @@ class Engine:
 
 def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     """The r gauge: xi(r) given (or derived from an injected h); A = xi'(r)/h."""
-    grid = _master_grid(profile.source, min(profile.domain_end, opts.r_max), opts.grid_size)
+    end = min(profile.domain_end, opts.r_max)
+    size = opts.grid_size
+    if size is None:
+        size = round(R_NODES_PER_DECADE * math.log10(end / _grid_floor(end)))
+    grid = _master_grid(profile.source, end, size)
+    # no difference stencil crosses a kink of the profile or its domain end
+    knots = np.unique(np.concatenate((profile.source.breakpoints(), [profile.domain_end])))
+    knots = knots[np.isfinite(knots)]
 
     def xi_prime_fd(t):
         t = _as_float(t)
         out = np.empty_like(t)
         pos = t > 0
-        out[pos] = derivative_fd(xi_fn, t[pos])
+        out[pos] = derivative_fd(xi_fn, t[pos], knots=knots)
         if np.any(~pos):
             eps = 1e-7
             # second-order one-sided difference at the origin
@@ -398,10 +407,9 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             t = _as_float(t)
             hp = profile.source.derivative(t)
             if hp is None:
-                # keep the difference stencil strictly inside (0, grid_end)
+                # keep the difference stencil off the origin
                 floor = grid[0] if grid[0] > 0 else grid[1]
-                centers = np.clip(t, floor, grid[-1] * (1.0 - 4.0 * FD_STEP))
-                hp = derivative_fd(h_fn, centers)
+                hp = derivative_fd(h_fn, np.maximum(t, floor), knots=knots)
             return np.where(t == 0.0, 0.0, -t * _as_float(hp) / h_fn(t))
 
         grid, (xi_nodes,), record = _bisected_grid("r", grid, lambda t: (xi_fn(t),), _xi_tail)

@@ -236,16 +236,40 @@ def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: f
 FD_STEP = 5e-4  # relative step of derivative_fd: its stencil spans t (1 +- 2 FD_STEP)
 
 
-def derivative_fd(f, t, rel_step: float = FD_STEP):
+def derivative_fd(f, t, rel_step: float = FD_STEP, knots=()):
     """Fourth-order centred difference of a callable at t > 0 with a relative
-    step, from one call of ``f`` on the four stencil points.  Its rounding
+    step, from one call of ``f`` on the four stencil points (and one more on
+    the one-sided stencils below, where there are any).  Its rounding
     error is about eps |f| / (rel_step t), so a wide step with a high order
     keeps more digits of a slope taken from a nearly constant f (xi of an
-    h-kind profile far out) than a narrow second-order stencil."""
+    h-kind profile far out) than a narrow second-order stencil.
+
+    No stencil crosses a point of the sorted ``knots`` (f's kinks and the
+    ends of its domain): the step shrinks to a sixth of the gap between the
+    knots around t, and a t within two steps of a knot takes the one-sided
+    fourth-order stencil on its own side.  A t on a knot differences to its
+    right, and a t on or past the last knot to its left."""
     t_arr = np.asarray(t, dtype=float)
     h = np.maximum(np.abs(t_arr), 1e-290) * rel_step
-    f2, f1, g1, g2 = np.asarray(f(t_arr + np.multiply.outer([-2.0, -1.0, 1.0, 2.0], h)))
-    return (8.0 * (g1 - f1) - (g2 - f2)) / (12.0 * h)
+    side = np.zeros(t_arr.shape)  # 0 centred, -1 backward, +1 forward
+    if len(knots):
+        knots = np.asarray(knots, dtype=float)
+        i = np.minimum(np.searchsorted(knots, t_arr, side="right"), knots.size - 1)
+        a = np.where(i > 0, knots[np.maximum(i - 1, 0)], -np.inf)
+        b = knots[i]
+        h = np.minimum(h, (b - a) / 6.0)
+        side = np.where(t_arr + 2.0 * h > b, -1.0, np.where(t_arr - 2.0 * h < a, 1.0, 0.0))
+    out = np.empty(t_arr.shape)
+    centred = side == 0
+    t1, h1 = t_arr[centred], h[centred]
+    f2, f1, g1, g2 = np.asarray(f(t1 + np.multiply.outer([-2.0, -1.0, 1.0, 2.0], h1)))
+    out[centred] = (8.0 * (g1 - f1) - (g2 - f2)) / (12.0 * h1)
+    if not np.all(centred):
+        s, t1, h1 = side[~centred], t_arr[~centred], h[~centred]
+        steps = np.multiply.outer([0.0, 1.0, 2.0, 3.0, 4.0], s * h1)
+        f0, f1, f2, f3, f4 = np.asarray(f(t1 + steps))
+        out[~centred] = s * (48.0 * f1 - 25.0 * f0 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * h1)
+    return out
 
 
 def extrapolate_limit(values) -> float:

@@ -282,6 +282,47 @@ def test_injected_h_curvature_matches_its_xi_twin(poly05_n2):
     assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-10
 
 
+def test_injected_h_with_a_domain_end_matches_its_xi_twin():
+    # h = (1 + t)^-1/2 that ends at r = 1e4: xi' differences xi, and no
+    # stencil may reach past the end, where eval_profile raises.  On the
+    # 4 096-node base the last cell is 1% of the end wide.
+    p = GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5", domain_end=1e4))
+    twin = build_metric(polynomial_xi(0.5), 2, BuildOptions(r_max=1e4))
+    for opts in (BuildOptions(), BuildOptions(grid_size=4096)):
+        m = build_metric(p, 2, opts)
+        assert m.native[-1] == 1e4
+        assert chern_number(m).value == pytest.approx(chern_number(twin).value, rel=1e-12)
+        for k in (1, 2):
+            got, want = normalized_sigma_series(m, k), normalized_sigma_series(twin, k)
+            assert np.allclose(got.normalized, want.normalized, rtol=1e-12, atol=0.0)
+        assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-10
+
+
+def test_sampled_injected_h_differences_inside_its_samples():
+    # a sampled h is a monotone cubic through its samples, each sample a kink
+    # of xi', and ends at its last sample; the last samples are 0.1% apart.
+    # xi' = -h'/h - t h''/h + t (h'/h)^2 from the interpolant's own derivatives
+    # is exact between samples, and the difference stencil must not cross one
+    from scipy.interpolate import PchipInterpolator
+
+    last = 1e4 * (1.0 + np.array([1e-3, 2e-3]))
+    ts = np.concatenate(([0.0], np.geomspace(1e-9, 1e4, 1200), last))
+    hs = (1.0 + ts) ** -0.5
+    m = build_metric(GeneratorProfile(GeneratorKind.H, SampledSource(ts, hs)), 2)
+    assert m.native[-1] == ts[-1]
+    pchip = PchipInterpolator(ts, hs)
+    d1, d2 = pchip.derivative(), pchip.derivative(2)
+    near = ts[1:, None] * (1.0 + np.array([-1e-4, -1e-7, 1e-7, 1e-4]))
+    near = near[(near > 1e-6) & (near < ts[-1])]
+    t = np.concatenate((gauss_nodes(m.native)[-40:].ravel(), near))
+    q = d1(t) / pchip(t)
+    want = -q - t * d2(t) / pchip(t) + t * q * q
+    assert np.allclose(m.engine.xi_prime_of(t), want, rtol=1e-6, atol=1e-10)  # measured 4.9e-11
+    assert np.isfinite(chern_number(m).value)
+    assert np.all(np.isfinite(normalized_sigma_series(m, 2).normalized))
+    assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-6
+
+
 def test_injected_h_sets_f_at_the_origin():
     # f = v/r tends to h(0), which an injected h need not share with BuildOptions.h0
     p = GeneratorProfile(GeneratorKind.H, ClosedFormSource("2 * (1 + t) ^ -0.5"))
@@ -455,22 +496,24 @@ def test_r_grids_meet_their_node_budget():
     assert flat.native.size == flat.engine.grid_record.base_nodes == 513
 
 
-def _xi_cell_estimates(m):
-    """Each r cell's estimate, recomputed from the model's xi at its Gauss nodes:
-    the Legendre tail, or a larger gap to a neighbour's interpolant at an end."""
-    xi = m.engine.xi_of(gauss_nodes(m.native))
-    left, right = cell_ends(xi)
-    gap = np.abs(right[:-1] - left[1:])
-    est = legendre_tail(xi)
-    est[:-1], est[1:] = np.maximum(est[:-1], gap), np.maximum(est[1:], gap)
-    return est, np.sum(np.abs(np.diff(xi.ravel(), prepend=0.0)))
-
-
 def test_r_grid_meets_its_tolerance(poly05_n2, s3_n2):
     for m in (poly05_n2, s3_n2):
-        est, scale = _xi_cell_estimates(m)
+        grid = m.native
+        xi = m.engine.xi_of(gauss_nodes(grid))
+        est, scale = metric_module._xi_tail(grid, (xi,))
         assert np.max(est) <= metric_module.GRID_TOL * scale
         assert np.max(est) / scale == pytest.approx(m.engine.grid_record.worst_estimate, rel=1e-12)
+        # independently of the estimate: each cell's interpolant through its
+        # Gauss-node xi, at 17 points across the cell (its ends included), is
+        # within GRID_TOL of max |xi| (measured <= 1.3e-14 of it)
+        u = np.linspace(-1.0, 1.0, 17)
+        half = 0.5 * np.diff(grid)[:, None]
+        pts = grid[:-1, None] + half * (1.0 + u)
+        coef = np.linalg.solve(np.polynomial.legendre.legvander(gauss_nodes([-1.0, 1.0])[0], 7),
+                               xi.T).T
+        interp = coef @ np.polynomial.legendre.legvander(u, 7).T
+        err = np.abs(interp - m.engine.xi_of(pts))
+        assert np.max(err) <= metric_module.GRID_TOL * np.max(np.abs(xi))
 
 
 def test_injected_h_grid_stops_within_tolerance(caplog):

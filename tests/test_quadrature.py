@@ -17,6 +17,7 @@ from cvlab.quadrature import (
     adaptive_integral,
     cell_ends,
     cell_tails,
+    derivative_fd,
     gauss_nodes,
     legendre_tail,
 )
@@ -172,3 +173,23 @@ def test_cell_ends_extend_each_interpolant_to_its_edges():
     left, right = cell_ends(vals)
     assert legendre_tail(vals)[0] <= 1e-15
     assert right[0] - left[1] == pytest.approx(1e-3, rel=1e-10)
+
+
+def test_derivative_fd_keeps_its_stencils_between_knots():
+    # f = exp(t) below 1 and exp(t) + (t - 1)^2 above, on [1/2, 2] only: a kink
+    # of f' at 1 and two domain ends, none of which a stencil may cross
+    seen = []
+
+    def f(t):
+        seen.append(np.array(t, copy=True))
+        assert np.all((t >= 0.5) & (t <= 2.0))
+        return np.exp(t) + np.where(t > 1.0, (t - 1.0) ** 2, 0.0)
+
+    t = np.array([0.5, 0.5004, 0.7, 0.9999, 1.0, 1.0001, 1.5, 1.9996, 2.0])
+    got = derivative_fd(f, t, knots=[0.5, 1.0, 2.0])
+    want = np.exp(t) + np.where(t >= 1.0, 2.0 * (t - 1.0), 0.0)  # on a knot, the right side
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    assert len(seen) == 2  # the centred stencils, then the one-sided ones
+    # without knots: one call, and the same bits on a point away from them
+    seen.clear()
+    assert derivative_fd(f, 0.7) == got[2] and len(seen) == 1
