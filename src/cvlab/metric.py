@@ -537,6 +537,7 @@ class _TableInverse:
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
         lq_nodes, q = self._lq, _as_float(q)
+        shape, q = q.shape, q.ravel()
         origin = q == 0
         if np.any((q < self._q[0]) & ~origin):
             raise ValueError(f"{self.name} = {np.min(q[~origin]):.6g} is below the first positive "
@@ -553,18 +554,22 @@ class _TableInverse:
         slope = c1 + u * (2.0 * c2 + 3.0 * u * c3)
         lo, hi = self._t[i], self._t[i + 1]
         t = np.clip(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo, hi)
-        for steps in range(NEWTON_STEPS + 1):
-            res = np.log(self._q_of(t) / q)
-            # done at rounding: of q(t), or of t where q is steeper than t
-            done = (np.abs(res) <= 2.0 * _EPS) | (np.abs(slope * res) <= _EPS)
-            if steps == NEWTON_STEPS or np.all(done):
+        res = np.log(self._q_of(t) / q)
+        live, steps = np.arange(q.size), 0
+        while True:
+            # done at rounding: of q(t), or of t where q is steeper than t; a
+            # point that is done keeps its t, so no query moves it with others
+            r = res[live]
+            live = live[~((np.abs(r) <= 2.0 * _EPS) | (np.abs(slope[live] * r) <= _EPS))]
+            if steps == NEWTON_STEPS or live.size == 0:
                 break
-            # a point that is done keeps its t, so no query moves it with others
-            t = np.where(done, t, np.clip(t * np.exp(-slope * res), lo, hi))
+            t[live] = np.clip(t[live] * np.exp(-slope[live] * res[live]), lo[live], hi[live])
+            res[live] = np.log(self._q_of(t[live]) / q[live])
+            steps += 1
         if np.any(origin):
-            t, res = np.where(origin, 0.0, t), np.where(origin, 0.0, res)
+            t[origin], res[origin] = 0.0, 0.0
         self._report(res, i, steps)
-        return t, res
+        return t.reshape(shape), res.reshape(shape)
 
     def _report(self, res, i, steps):
         worst = float(np.max(np.abs(res), initial=0.0))

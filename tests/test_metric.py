@@ -296,6 +296,19 @@ def test_injected_h_with_a_domain_end_matches_its_xi_twin():
             got, want = normalized_sigma_series(m, k), normalized_sigma_series(twin, k)
             assert np.allclose(got.normalized, want.normalized, rtol=1e-12, atol=0.0)
         assert mixed_curvature_ibp(m, 1).relative_gap <= 1e-10
+    # an h with no closed-form h' takes h' by a difference stencil too, which
+    # must stop at the end as well (measured 1.1e-10 off the twin)
+    m = build_metric(GeneratorProfile(GeneratorKind.H, _HandWrittenH()), 2)
+    assert chern_number(m).value == pytest.approx(chern_number(twin).value, rel=1e-9)
+    got, want = normalized_sigma_series(m, 2), normalized_sigma_series(twin, 2)
+    assert np.allclose(got.normalized, want.normalized, rtol=1e-9, atol=0.0)
+
+
+class _HandWrittenH(ProfileSource):
+    domain_end = 1e4
+
+    def __call__(self, t):
+        return (1.0 + np.asarray(t, dtype=float)) ** -0.5
 
 
 def test_sampled_injected_h_differences_inside_its_samples():
