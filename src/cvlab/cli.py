@@ -13,6 +13,7 @@ bisection (default: 4 096 on the x gauge, 16 per decade on the r gauge).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -283,7 +284,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="cvlab",
         description="curvature integrals of rotation-invariant metrics over geodesic balls",

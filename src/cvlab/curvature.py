@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .metric import MetricModel
-from .quadrature import scalar_like
+from .quadrature import scalar_like, unique_sorted
 
 
 def ricci_eigenvalues(A, B, C, n: int):
@@ -101,7 +101,7 @@ def curvature_table(model: MetricModel, rows: int = 256) -> dict[str, np.ndarray
     """
     native = model.native
     pos = native[native > 0]
-    t = np.unique(np.geomspace(pos[0], pos[-1], rows))
+    t = unique_sorted(np.geomspace(pos[0], pos[-1], rows))
     A, B, C = model.engine.abc_of(t)
     lam, mu = ricci_eigenvalues(A, B, C, model.n)
     return {

@@ -60,6 +60,7 @@ from .quadrature import (
     gauss_nodes,
     legendre_tail,
     scalar_like,
+    unique_sorted,
 )
 
 log = logging.getLogger(__name__)
@@ -169,12 +170,13 @@ def _master_grid(source, end: float, size: int) -> np.ndarray:
     lo = _grid_floor(end)
     bps = np.asarray(source.breakpoints(), dtype=float)
     ref = np.asarray(source.refinement_nodes(), dtype=float)
-    grid = np.unique(np.concatenate(([0.0], np.geomspace(lo, end, size), bps, ref)))
+    grid = unique_sorted(np.concatenate(([0.0], np.geomspace(lo, end, size), bps, ref)))
     grid = grid[(grid >= 0.0) & (grid <= end)]
     # prune near-duplicates so no quadrature cell degenerates; a breakpoint is
     # a kink and never goes, its near neighbour does
     close = np.diff(grid) <= MIN_CELL * grid[1:]
-    fixed = np.isin(grid, bps)
+    fixed = np.zeros(grid.size, dtype=bool)
+    fixed[grid.searchsorted(bps[(bps >= 0.0) & (bps <= end)])] = True  # each is a node
     drop = np.zeros(grid.size, dtype=bool)
     drop[1:] = close & ~fixed[1:]
     drop[:-1] |= close & fixed[1:] & ~fixed[:-1]
@@ -357,7 +359,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         size = round(R_NODES_PER_DECADE * math.log10(end / _grid_floor(end)))
     grid = _master_grid(profile.source, end, size)
     # no difference stencil crosses a kink of the profile or its domain end
-    knots = np.unique(np.concatenate((profile.source.breakpoints(), [profile.domain_end])))
+    knots = unique_sorted(np.concatenate((profile.source.breakpoints(), [profile.domain_end])))
     knots = knots[np.isfinite(knots)]
 
     def xi_prime_fd(t):
@@ -513,8 +515,10 @@ class _TableInverse:
     kept inside the bracketing interval, until the log-residual is rounding.
     The origin answers q = 0.  Between the origin and the first positive
     node q1 the table has no data, and past the last node it has none
-    either, so a query there raises ValueError; the last node answers
-    queries within a relative 1e-9 beyond it.
+    either, so a query there raises ValueError, as a NaN query does; the
+    last node answers queries within a relative 1e-9 beyond it.  A point
+    that is done keeps its t while others step, and a 0-d query runs on
+    numpy scalars, so a point gets the same bits alone or in a batch.
     """
 
     def __init__(self, name: str, q_of, values, native, log_slope):
@@ -531,52 +535,53 @@ class _TableInverse:
             a, b = m[:-1] / secant, m[1:] / secant
             cubic = (a >= 0) & (b >= 0) & (a * a + b * b <= 9.0)  # False on inf, nan
         m0, m1 = np.where(cubic, m[:-1], secant), np.where(cubic, m[1:], secant)
-        self._coef = (m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant)
+        self._coef = np.stack((m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant))
         self._flat = (dq[:-1] <= FLAT_SLOPE) | (dq[1:] <= FLAT_SLOPE)
 
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
-        lq_nodes, q = self._lq, _as_float(q)
-        shape, q = q.shape, q.ravel()
+        lq_nodes, q = self._lq, _as_float(q)  # a 0-d query computes on numpy scalars
         origin = q == 0
-        if np.any((q < self._q[0]) & ~origin):
-            raise ValueError(f"{self.name} = {np.min(q[~origin]):.6g} is below the first positive "
-                             f"table node {self.name}1 = {self._q[0]:.6g}")
-        if np.any(q > self._q[-1] * (1 + 1e-9)):
+        if not np.all((q >= self._q[0]) | origin):  # NaN fails here
+            low = np.min(q[~origin])
+            why = ("not a number" if np.isnan(low)
+                   else f"below the first positive table node {self.name}1 = {self._q[0]:.6g}")
+            raise ValueError(f"{self.name} = {low:.6g} is {why}")
+        if not q.max(initial=-np.inf) <= self._q[-1] * (1 + 1e-9):
             raise ValueError(f"{self.name} = {np.max(q):.6g} is beyond the tabulated "
                              f"{self.name} <= {self._q[-1]:.6g}")
-        q = np.clip(q, self._q[0], self._q[-1])
+        q = np.minimum(np.maximum(q, self._q[0]), self._q[-1])
         lq = np.log(q)
-        i = np.clip(np.searchsorted(lq_nodes, lq, side="right") - 1, 0, lq_nodes.size - 2)
-        c1, c2, c3 = (c[i] for c in self._coef)
+        i = np.minimum(np.maximum(lq_nodes.searchsorted(lq, side="right") - 1, 0), lq_nodes.size - 2)
+        c1, c2, c3 = self._coef.take(i, axis=1)
         d = lq - lq_nodes[i]
         u = d / (lq_nodes[i + 1] - lq_nodes[i])
         slope = c1 + u * (2.0 * c2 + 3.0 * u * c3)
         lo, hi = self._t[i], self._t[i + 1]
-        t = np.clip(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo, hi)
+        t = np.minimum(np.maximum(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo), hi)
         res = np.log(self._q_of(t) / q)
-        live, steps = np.arange(q.size), 0
+        live, steps = np.ones(q.shape, dtype=bool), 0
         while True:
             # done at rounding: of q(t), or of t where q is steeper than t; a
             # point that is done keeps its t, so no query moves it with others
-            r = res[live]
-            live = live[~((np.abs(r) <= 2.0 * _EPS) | (np.abs(slope[live] * r) <= _EPS))]
-            if steps == NEWTON_STEPS or live.size == 0:
+            live &= ~((np.abs(res) <= 2.0 * _EPS) | (np.abs(slope * res) <= _EPS))
+            if steps == NEWTON_STEPS or not np.count_nonzero(live):
                 break
-            t[live] = np.clip(t[live] * np.exp(-slope[live] * res[live]), lo[live], hi[live])
-            res[live] = np.log(self._q_of(t[live]) / q[live])
+            t = np.where(live, np.minimum(np.maximum(t * np.exp(-slope * res), lo), hi), t)
+            res = np.where(live, np.log(self._q_of(t) / q), res)
             steps += 1
-        if np.any(origin):
-            t[origin], res[origin] = 0.0, 0.0
+        if np.count_nonzero(origin):
+            t, res = np.where(origin, 0.0, t), np.where(origin, 0.0, res)
+        t, res = np.asarray(t), np.asarray(res)  # 0-d arrays for a 0-d query
         self._report(res, i, steps)
-        return t.reshape(shape), res.reshape(shape)
+        return t, res
 
     def _report(self, res, i, steps):
-        worst = float(np.max(np.abs(res), initial=0.0))
-        log.debug("%s inverse: %d point(s), %d Newton step(s), worst log-residual %.3g",
-                  self.name, np.size(res), steps, worst)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s inverse: %d point(s), %d Newton step(s), worst log-residual %.3g",
+                      self.name, np.size(res), steps, float(np.max(np.abs(res), initial=0.0)))
         stuck = (np.abs(res) > RESIDUAL_WARN) & ~self._flat[i]
-        if np.any(stuck):
+        if np.count_nonzero(stuck):
             log.warning("%s inverse: log-residual %.3g after %d Newton steps at %d point(s)",
                         self.name, float(np.max(np.abs(res[stuck]))), steps,
                         int(np.count_nonzero(stuck)))

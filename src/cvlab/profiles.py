@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import Expr, evaluate, evaluate_derivative, parse_expression, to_source
+from .quadrature import unique_sorted
 
 XI_ZERO_TOL = 1e-12  # |xi(0)| must not exceed this
 SLOPE_TOL = -1e-9  # finite-difference slopes may dip this far below zero
@@ -209,7 +210,7 @@ def _validation_grid(profile: GeneratorProfile, span: float) -> np.ndarray:
     extra = profile.source.breakpoints()
     if len(extra):
         grid = np.concatenate((grid, extra[(extra >= 0) & (extra <= end)]))
-    return np.unique(grid)
+    return unique_sorted(grid)
 
 
 def validate_xi(profile: GeneratorProfile, grid: np.ndarray | None = None) -> ValidationReport:

@@ -2,8 +2,10 @@
 
 Radial quantities (h, f, s, v, ...) are cumulative tables over a fixed master
 grid (`CumulativeIntegral`): the integrand runs once, at the Gauss-Legendre
-nodes of each cell (`gauss_nodes`), and a query reads its cell's stored
-antiderivative.  Every table on one grid shares those nodes, so a table can
+nodes of each cell (`gauss_nodes`), and a query is one search of the grid and
+one Clenshaw sum of its cell's stored antiderivative, written inline with
+numpy ``legval``'s constants so it gives legval's bits; a query on grid
+nodes reads the table.  Every table on one grid shares those nodes, so a table can
 be built from node values computed once for several tables, and
 ``at_nodes()`` gives a table's own values there without a query; one model
 evaluates its engine once per node.  Cells never place nodes on the
@@ -24,7 +26,7 @@ import logging
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legval, legvander
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +65,13 @@ def _antiderivative_matrix(order: int) -> np.ndarray:
 def _node_vander(order: int) -> np.ndarray:
     """(order + 1, order) Legendre polynomials of degree <= order at the Gauss nodes."""
     return legvander(_gl_rule(order)[0], order).T
+
+
+@lru_cache(maxsize=8)
+def _clenshaw_constants(terms: int) -> tuple:
+    """((nd - 1)/nd, (2 nd - 1)/nd) for nd = terms - 1 down to 2: the
+    multipliers of numpy's ``legval`` recurrence on ``terms`` coefficients."""
+    return tuple(((nd - 1) / nd, (2 * nd - 1) / nd) for nd in range(terms - 1, 1, -1))
 
 
 def _nodes(lo, hi, order: int):
@@ -115,6 +124,17 @@ def cell_tails(vals, lo, hi):
     return 0.5 * (hi - lo) * legendre_tail(vals), _rule_sums(vals, lo, hi)
 
 
+def unique_sorted(a) -> np.ndarray:
+    """The distinct values of a float array, sorted and flat: ``np.unique`` on
+    arrays without NaN, by a sort and a comparison of neighbours.  numpy 2's
+    ``np.unique`` (and ``np.isin``) import ``numpy.ma`` on first use, which
+    the model path otherwise never loads."""
+    a = np.sort(np.asarray(a, dtype=float), axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def scalar_like(t, out):
     """``out`` as Python floats when the query ``t`` is a scalar, else as is.
 
@@ -125,7 +145,7 @@ def scalar_like(t, out):
     a scalar rounds through libm's pow, which differs from the array kernel
     in the last bit.
     """
-    if np.ndim(t) != 0:
+    if not isinstance(t, float) and np.ndim(t) != 0:
         return out
     if isinstance(out, tuple):
         return tuple(float(u) for u in out)
@@ -142,6 +162,14 @@ class CumulativeIntegral:
     Gauss nodes, and not kept: inside a cell F integrates the polynomial of
     degree order - 1 through the cell's node values, so it is exact for
     integrands of that degree.  ``at_nodes()`` gives F back at those nodes.
+
+    A query searches the grid once and sums each point's cell series by the
+    Clenshaw recurrence (Clenshaw, Math. Comp. 9, 1955), point by point, with
+    the constants of numpy's ``legval``: the same bits, alone or in a batch.
+    A point on a grid node reads the table, and a query made only of nodes
+    (a model's own grid) returns after the search.  A 0-d query computes on
+    numpy scalars.  A query outside the grid, beyond a relative 1e-12, or a
+    NaN raises ValueError.
     """
 
     def __init__(self, f, grid: np.ndarray, order: int = 8):
@@ -162,32 +190,44 @@ class CumulativeIntegral:
                                  f"got {vals.shape}")
             cell = _rule_sums(vals, lo, hi)
         self.values = np.concatenate([[0.0], np.cumsum(cell)])
-        self._coef = (vals @ _antiderivative_matrix(order)).T
+        self._coef = vals @ _antiderivative_matrix(order)  # (cells, order + 1)
+        self._clenshaw = _clenshaw_constants(order + 1)
+        lo, hi = grid[0], grid[-1]
+        self._lo_limit = lo - 1e-12 * max(1.0, abs(lo))
+        self._hi_limit = hi * (1 + 1e-12) + 1e-300
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.grid[0], self.grid[-1]
-        if np.any(t_arr < lo - 1e-12 * max(1.0, abs(lo))) or np.any(t_arr > hi * (1 + 1e-12) + 1e-300):
+        t_arr = np.asarray(t, dtype=float)  # a 0-d query computes on numpy scalars
+        grid = self.grid
+        lo, hi = grid[0], grid[-1]
+        # min/max propagate NaN, so a NaN query fails both checks
+        if not (t_arr.min(initial=np.inf) >= self._lo_limit
+                and t_arr.max(initial=-np.inf) <= self._hi_limit):
             raise ValueError(f"cumulative integral queried outside [{lo}, {hi}]")
-        t_arr = np.clip(t_arr, lo, hi)
-        idx = np.searchsorted(self.grid, t_arr, side="right") - 1
+        t_arr = np.minimum(np.maximum(t_arr, lo), hi)
+        idx = grid.searchsorted(t_arr, side="right") - 1
         out = self.values[idx]
-        live = t_arr > self.grid[idx]  # grid nodes, the last included, read the table
-        if np.any(live):
-            i = idx[live]
-            a, b = self.grid[i], self.grid[i + 1]
-            u = (2.0 * t_arr[live] - a - b) / (b - a)
-            half = 0.5 * (b - a)
-            del a, b, t_arr, idx  # a big query's peak stays under glibc's trim threshold
-            # Clenshaw point by point: no reduction whose order depends on the batch
-            out[live] += half * legval(u, self._coef[:, i], tensor=False)
-        return scalar_like(t, out.reshape(np.shape(t)))
+        live = t_arr > grid[idx]  # grid nodes, the last included, read the table
+        if not np.count_nonzero(live):
+            return scalar_like(t, out)
+        cell = np.minimum(idx, grid.size - 2)
+        a, b = grid[cell], grid[cell + 1]
+        width = b - a
+        x = (2.0 * t_arr - a - b) / width
+        half = 0.5 * width
+        del a, b, width, t_arr, idx  # a big query's peak stays under glibc's trim threshold
+        # legval's recurrence, inline: no reduction whose order depends on the batch
+        c = self._coef.take(cell, axis=0)
+        c0, c1 = c[..., -2], c[..., -1]
+        for k, (p, q) in enumerate(self._clenshaw, start=3):
+            c0, c1 = c[..., -k] - c1 * p, c0 + c1 * x * q
+        return scalar_like(t, np.where(live, out + half * (c0 + c1 * x), out))
 
     def at_nodes(self) -> np.ndarray:
         """F at ``gauss_nodes(grid, order)``, (cells, order): one product of the
         stored coefficients with the node Legendre table, no search."""
         half = 0.5 * np.diff(self.grid)
-        return self.values[:-1, None] + half[:, None] * (self._coef.T @ _node_vander(self.order))
+        return self.values[:-1, None] + half[:, None] * (self._coef @ _node_vander(self.order))
 
     @property
     def total(self) -> float:
@@ -205,7 +245,7 @@ def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: f
     ends, or on a non-finite estimate; on success that estimate is logged at DEBUG.
     """
     inner = np.array([] if breakpoints is None else breakpoints, dtype=float).ravel()
-    edges = np.concatenate(([a], np.unique(inner[(inner > a) & (inner < b)]), [b]))
+    edges = np.concatenate(([a], unique_sorted(inner[(inner > a) & (inner < b)]), [b]))
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     coarse, left, right = _gauss_rules(f, np.array([lo, lo, mid]), np.array([hi, mid, hi]))[1]

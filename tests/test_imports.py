@@ -1,4 +1,5 @@
-"""The model path imports numpy only; scipy loads for a sampled generator alone."""
+"""The model path imports numpy only, and not numpy.ma; scipy loads for a
+sampled generator alone."""
 
 import os
 import subprocess
@@ -21,6 +22,8 @@ def scipy_loaded():
 
 def assert_scipy_free(step):
     assert not scipy_loaded(), f"{step} imported {scipy_loaded()[:5]}"
+    # numpy 2's np.unique and np.isin load it, 1.3 MB of RSS
+    assert "numpy.ma" not in sys.modules, f"{step} imported numpy.ma"
 
 
 import cvlab

@@ -440,6 +440,23 @@ def test_inverses_refuse_queries_past_the_last_node():
     assert m.native_from_r(m.r[-1] * (1 + 1e-12)) == m.native[-1]
 
 
+def test_nan_queries_raise(poly05_n2, yau_n3):
+    # NaN passed every range check and came back plausible: v_of as the v
+    # table's total, distance_s as s_end, volume_ball as 1.97e9 on poly 0.5
+    m, nan = poly05_n2, float("nan")
+    # a table query: the r gauge reads s at r itself, the x gauge v at x
+    for query in (lambda: m.engine.v_of(nan), lambda: distance_s(m, r=nan),
+                  lambda: distance_s(yau_n3, x=nan)):
+        with pytest.raises(ValueError, match="outside"):
+            query()
+    # an inverse: volume_ball(s) goes through radius_from_s
+    for query in (lambda: volume_ball(m, nan), lambda: m.radius_from_s(nan),
+                  lambda: m.radius_from_s(np.array([1.0, nan])),
+                  lambda: yau_n3.native_from_r(np.array([[nan]])), lambda: m.native_from_x(nan)):
+        with pytest.raises(ValueError, match="nan is not a number"):
+            query()
+
+
 def test_inverse_reports_its_residual(monkeypatch, caplog):
     # unpolished on a coarse grid, the Hermite seed is close but not at
     # rounding: the residual comes back with the radius and a large one is logged

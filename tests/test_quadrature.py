@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from numpy.polynomial.legendre import Legendre
+from numpy.polynomial.legendre import Legendre, legval
 
 from cvlab.quadrature import (
     CumulativeIntegral,
@@ -20,6 +20,7 @@ from cvlab.quadrature import (
     derivative_fd,
     gauss_nodes,
     legendre_tail,
+    unique_sorted,
 )
 
 # uneven cells, the first one at the origin
@@ -59,6 +60,71 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_batch():
     assert np.array_equal(batch, [table(float(p)) for p in t])
     assert np.array_equal(batch[:7], table(t[:7]))
     assert np.array_equal(table(t.reshape(2, -1)).ravel(), batch)
+
+
+def legval_query(table, t):
+    """The table query with numpy's ``legval`` summing each cell's series: the
+    reference the inline Clenshaw sum matches bit for bit."""
+    grid = table.grid
+    t_arr = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), grid[0], grid[-1])
+    idx = np.searchsorted(grid, t_arr, side="right") - 1
+    out = table.values[idx]
+    live = t_arr > grid[idx]
+    i = idx[live]
+    a, b = grid[i], grid[i + 1]
+    u = (2.0 * t_arr[live] - a - b) / (b - a)
+    out[live] += 0.5 * (b - a) * legval(u, table._coef[i].T, tensor=False)
+    return out.reshape(np.shape(t))
+
+
+@pytest.mark.parametrize("f, grid", INTEGRANDS)
+def test_a_query_is_the_legval_route_bit_for_bit(f, grid):
+    table = CumulativeIntegral(f, grid)
+    rng = np.random.default_rng(11)
+    cell = rng.integers(0, grid.size - 1, 400)
+    inside = grid[cell] + rng.uniform(0.0, 1.0, cell.size) * np.diff(grid)[cell]
+    mixed = np.concatenate((inside, grid, gauss_nodes(grid).ravel()))
+    rng.shuffle(mixed)
+    for t in (inside, grid, mixed, mixed[:12].reshape(3, 4), mixed[:1]):
+        got = table(t)
+        assert got.shape == np.shape(t)
+        assert np.array_equal(got, legval_query(table, t))
+    for p in (*inside[:40], grid[0], grid[3], grid[-1]):
+        for t in (float(p), np.float64(p), np.asarray(p)):
+            got = table(t)
+            assert type(got) is float and got == legval_query(table, t)
+    assert table(grid[-1]) == table.total
+
+
+def test_a_query_raises_one_ulp_past_either_tolerance():
+    table = CumulativeIntegral(np.cos, np.linspace(2.0, 5.0, 7))
+    below, above = 2.0 - 1e-12 * 2.0, 5.0 * (1 + 1e-12) + 1e-300
+    assert table(below) == 0.0 and table(above) == table.total
+    for t in (np.nextafter(below, -np.inf), np.nextafter(above, np.inf)):
+        with pytest.raises(ValueError, match="outside"):
+            table(t)
+        with pytest.raises(ValueError, match="outside"):
+            table(np.array([3.0, t]))
+
+
+@pytest.mark.parametrize("t", [np.nan, [0.5, np.nan], [[np.nan]]])
+def test_a_nan_query_raises(t):
+    # searchsorted puts NaN past the last node, so it used to read the total
+    table = CumulativeIntegral(np.cos, GRID)
+    with pytest.raises(ValueError, match="outside"):
+        table(t)
+
+
+def test_an_empty_query_returns_an_empty_array():
+    table = CumulativeIntegral(np.cos, GRID)
+    assert table(np.array([])).shape == (0,)
+    assert table(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("a", [[], [2.0], [3.0, -1.0, 3.0, 0.0, 2.5, -1.0], [[1.0, np.inf], [np.inf, -0.5]],
+                               np.geomspace(1e-8, 1e4, 97)])
+def test_unique_sorted_is_np_unique(a):
+    assert np.array_equal(unique_sorted(np.asarray(a, dtype=float)), np.unique(np.asarray(a, dtype=float)))
 
 
 def test_the_integrand_runs_once_and_is_not_kept():
