@@ -16,7 +16,10 @@ three radii; and ``curvature_table``.  A call that raises is recorded as its exc
 
 ``--compare`` lists every key that is missing from one dump or not
 ``np.array_equal`` between them, with two gaps for each differing float key
-and the largest of each over all of them, and exits 1 if there is any.  The
+and the largest of each over all of them, then one line per model with
+differing keys (their count, and the largest gaps outside the ``.table.``
+keys, which move with the grid, and ``chern_number``'s identity residual,
+a rounding-level number), and exits 1 if there is any.  The
 relative gap is the largest entrywise |a - b| / max(|a|, |b|); the scale gap
 is the largest |a - b| over the key's largest |value|, which tells a last-digit
 change in a tiny entry from a real move.  The script
@@ -61,6 +64,10 @@ XI_METHODS = ("xi_of", "h_of", "v_of", "f_of", "s_of", "r_of", "x_of",
               "xi_prime_of", "abc_of", "curvature_of")
 F_METHODS = ("fprime_of", "fpp_of", "xi_of", "v_of", "s_of", "r_of", "x_of",
              "h_of", "f_of", "abc_of", "curvature_of")
+CHERN_FIELDS = ("value", "numeric", "tail", "identity_residual")
+# left out of the per-model gaps: the tables move with the grid, and the
+# identity residual is a rounding-level number whose every digit may move
+UNSCORED = (".table.", f".chern_number[{CHERN_FIELDS.index('identity_residual')}]")
 
 
 def models():
@@ -121,8 +128,7 @@ def fingerprint(name, model, out):
     _record(out, f"{name}.lp", lambda: lp_curvature_series(model, 2.37).normalized)
     _record(out, f"{name}.scalar", lambda: average_scalar_series(model).normalized)
     _record(out, f"{name}.chern_number",
-            lambda: tuple(getattr(chern_number(model), f) for f in
-                          ("value", "numeric", "tail", "identity_residual")))
+            lambda: tuple(getattr(chern_number(model), f) for f in CHERN_FIELDS))
     for k in range(1, n):
         _record(out, f"{name}.ibp{k}",
                 lambda: (lambda c: (c.direct, c.by_parts))(mixed_curvature_ibp(model, k)))
@@ -180,13 +186,21 @@ def compare(path_a, path_b):
     differ = sorted(set(a.files) ^ set(b.files))
     differ += [k for k in sorted(set(a.files) & set(b.files)) if not _same(a[k], b[k])]
     worst = worst_scale = 0.0
+    models = {}  # model name: [differing keys, worst rel gap, worst scale gap of scored keys]
     for key in differ:
         gaps = _gaps(a[key], b[key]) if key in a.files and key in b.files else None
+        model = models.setdefault(key.split(".", 1)[0], [0, 0.0, 0.0])
+        model[0] += 1
         if gaps is None:
             print(f"differs: {key}")
         else:
             worst, worst_scale = max(worst, gaps[0]), max(worst_scale, gaps[1])
             print(f"differs: {key}  max rel gap {gaps[0]:.3g}  scale gap {gaps[1]:.3g}")
+            if not any(part in key for part in UNSCORED):
+                model[1], model[2] = max(model[1], gaps[0]), max(model[2], gaps[1])
+    for name, (count, rel, scale) in models.items():
+        print(f"model {name}: {count} differ; outside tables and identity residual: "
+              f"max rel gap {rel:.3g}, max scale gap {scale:.3g}")
     print(f"{len(set(a.files) | set(b.files))} keys, {len(differ)} differ, "
           f"max rel gap {worst:.3g}, max scale gap {worst_scale:.3g}")
     return 1 if differ else 0

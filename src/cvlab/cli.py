@@ -7,7 +7,7 @@ and ``series`` export tables, ``chern`` prints the total Chern-power integral,
 
 Exit codes: 0 success, 1 validation failure, 2 parse/usage error.
 Environment: CVLAB_GRID sets the base geometric node count of the grid, before
-bisection (default: 4 096 on the x gauge, 16 per decade on the r gauge).
+bisection (default: 16 per decade of the grid's span, on either gauge).
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _add_selection(p: argparse.ArgumentParser):
     p.add_argument("--rmax", type=float, default=None, help="radial grid span")
     p.add_argument("--xmax", type=float, default=None, help="transverse grid span")
     p.add_argument("--grid", type=int, default=None,
-                   help="base geometric grid nodes before bisection (default: 4096 on x, "
-                   "16 per decade on r)")
+                   help="base geometric grid nodes before bisection (default: 16 per decade "
+                   "of the span)")
 
 
 def _parse_params(pairs) -> dict:

@@ -16,15 +16,15 @@ the origin (where B = A/2 and C = A):
 
     B = (xi*v - w) / v^2       C = 2*w / v^2
 
-The r grid is geometric plus the profile's breakpoints and fixed refinement
-(16 nodes per decade of its span), and is then bisected until, in every cell,
-the Legendre tail of xi's own values at the cell's Gauss nodes, and the gap at
-each end to the neighbouring cell's interpolant, are within GRID_TOL of the
-total variation of xi.  The x grid starts the same way (4 096
-geometric nodes) and is bisected on the Legendre tail of
-xi'(x) = F'F''/(1 + F'^2)^(3/2); a step train's transitions get the nodes they
-need and no fixed count.  One loop serves both gauges, and each engine keeps
-a ``GridRecord`` of how its grid was made.
+Both grids start from one base: 16 geometric nodes per decade of their span
+plus the profile's breakpoints and fixed refinement.  The r grid is then
+bisected until, in every cell, the Legendre tail of xi's own values at the
+cell's Gauss nodes, and the gap at each end to the neighbouring cell's
+interpolant, are within GRID_TOL of the total variation of xi.  The x grid is
+bisected on the Legendre tail of xi'(x) = F'F''/(1 + F'^2)^(3/2); a step
+train's transitions get the nodes they need and no fixed count.  One loop
+serves both gauges, and each engine keeps a ``GridRecord`` of how its grid
+was made.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ FLAT_SLOPE = 1e-9  # d ln q/d ln t below this: the saturated x plateau
 MIN_CELL = 1e-14  # relative width under which a grid cell is neither kept nor bisected
 GRID_TOL = 1e-12  # a cell's Legendre tail (of xi on r, of xi'(x) on x) over xi's total variation
 GRID_ROUNDS = 40  # most bisection rounds of a grid
-X_BASE_NODES = 4096  # geometric base nodes of an x grid when grid_size is None
-R_NODES_PER_DECADE = 16  # geometric base nodes per decade of an r grid when grid_size is None
+NODES_PER_DECADE = 16  # geometric base nodes per decade of a grid's span when grid_size is None
 
 
 def ball_coefficient(n: int) -> float:
@@ -123,7 +122,7 @@ class Classification:
 
 @dataclass(frozen=True)
 class BuildOptions:
-    grid_size: int | None = None  # base geometric nodes; None: 4 096 on x, 16 per decade on r
+    grid_size: int | None = None  # base geometric nodes; None: 16 per decade of the span
     r_max: float = 1e8  # span of the r-grid for xi- and h-kind profiles
     x_max: float | None = None  # span of the x-grid for fpp-kind; default from profile
     h0: float = 1.0
@@ -159,15 +158,12 @@ class GridRecord:
         return asdict(self)
 
 
-def _grid_floor(end: float) -> float:
-    """The first positive geometric node of a grid up to ``end``."""
-    return min(1e-8, end * 1e-10)
-
-
-def _master_grid(source, end: float, size: int) -> np.ndarray:
-    """The origin, ``size`` geometric nodes up to ``end``, and the source's
-    breakpoints and refinement."""
-    lo = _grid_floor(end)
+def _master_grid(source, end: float, size: int | None) -> np.ndarray:
+    """The origin, ``size`` geometric nodes up to ``end`` (None: NODES_PER_DECADE
+    per decade of their span), and the source's breakpoints and refinement."""
+    lo = min(1e-8, end * 1e-10)  # the first positive geometric node
+    if size is None:
+        size = round(NODES_PER_DECADE * math.log10(end / lo))
     bps = np.asarray(source.breakpoints(), dtype=float)
     ref = np.asarray(source.refinement_nodes(), dtype=float)
     grid = unique_sorted(np.concatenate(([0.0], np.geomspace(lo, end, size), bps, ref)))
@@ -354,10 +350,7 @@ class Engine:
 def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     """The r gauge: xi(r) given (or derived from an injected h); A = xi'(r)/h."""
     end = min(profile.domain_end, opts.r_max)
-    size = opts.grid_size
-    if size is None:
-        size = round(R_NODES_PER_DECADE * math.log10(end / _grid_floor(end)))
-    grid = _master_grid(profile.source, end, size)
+    grid = _master_grid(profile.source, end, opts.grid_size)
     # no difference stencil crosses a kink of the profile or its domain end
     knots = unique_sorted(np.concatenate((profile.source.breakpoints(), [profile.domain_end])))
     knots = knots[np.isfinite(knots)]
@@ -459,8 +452,7 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             end = 8.0 * float(np.max(bps)) if len(bps) else 1e4
     fpp = _profile_fn(profile)
     fp = profile.source.cumulative
-    size = X_BASE_NODES if opts.grid_size is None else opts.grid_size
-    grid = _master_grid(profile.source, float(end), size)
+    grid = _master_grid(profile.source, float(end), opts.grid_size)
 
     def evaluate(t):  # F'' and, where it has a closed form (not None), F'
         return tuple(u for u in (fpp(t), fp(t)) if u is not None)
@@ -516,7 +508,8 @@ class _TableInverse:
     The origin answers q = 0.  Between the origin and the first positive
     node q1 the table has no data, and past the last node it has none
     either, so a query there raises ValueError, as a NaN query does; the
-    last node answers queries within a relative 1e-9 beyond it.  A point
+    last node answers its own value, and queries within a relative 1e-9
+    beyond it, with itself exactly.  A point
     that is done keeps its t while others step, and a 0-d query runs on
     numpy scalars, so a point gets the same bits alone or in a batch.
     """
@@ -547,8 +540,9 @@ class _TableInverse:
             why = ("not a number" if np.isnan(low)
                    else f"below the first positive table node {self.name}1 = {self._q[0]:.6g}")
             raise ValueError(f"{self.name} = {low:.6g} is {why}")
-        if not q.max(initial=-np.inf) <= self._q[-1] * (1 + 1e-9):
-            raise ValueError(f"{self.name} = {np.max(q):.6g} is beyond the tabulated "
+        top = q.max(initial=-np.inf)
+        if not top <= self._q[-1] * (1 + 1e-9):
+            raise ValueError(f"{self.name} = {top:.6g} is beyond the tabulated "
                              f"{self.name} <= {self._q[-1]:.6g}")
         q = np.minimum(np.maximum(q, self._q[0]), self._q[-1])
         lq = np.log(q)
@@ -559,6 +553,8 @@ class _TableInverse:
         slope = c1 + u * (2.0 * c2 + 3.0 * u * c3)
         lo, hi = self._t[i], self._t[i + 1]
         t = np.minimum(np.maximum(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo), hi)
+        if top >= self._q[-1]:  # the seed can land an ulp short of the last node
+            t = np.where(q == self._q[-1], self._t[-1], t)
         res = np.log(self._q_of(t) / q)
         live, steps = np.ones(q.shape, dtype=bool), 0
         while True:
@@ -826,13 +822,17 @@ def save_metric(model: MetricModel, path) -> None:
 
 
 def load_metric(path) -> MetricModel:
-    """Rebuild a saved model; bit-identical to it on the same numpy build.
+    """Rebuild a saved model; bit-identical to it on the same numpy build and
+    the same cvlab grid rule.
 
     A sampled generator is interpolated by scipy's PCHIP, so a sampled model
     is bit-identical on the same scipy build too.  A file whose options name
     ``nodes_per_feature`` (a fixed step refinement, since replaced by the
     bisected x grid) loads without it, logs that once, and rebuilds on the
-    bisected grid, so its tables move within that grid's tolerance.
+    bisected grid, so its tables move within that grid's tolerance.  A file
+    saved with ``grid_size`` null rebuilds on the base of 16 nodes per decade;
+    one saved when the x gauge's default base was 4 096 nodes gets x-gauge
+    tables that move within GRID_TOL.
     """
     with open(path) as fh:
         doc = json.load(fh)

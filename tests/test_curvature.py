@@ -177,9 +177,10 @@ def test_curvature_nonnegative_for_valid_profiles(poly05_n2, yau_n3, s3_n2, lp_m
 def test_f_gauge_b_keeps_its_digits_where_fprime_is_small(yau_n3):
     # B written as (x^2 (sq - 1) - w)/(v^2 sq) loses every digit as F' -> 0
     # (100% off, some values negative); the shared (xi v - w)/v^2 with
-    # xi = F'^2/(sq (1 + sq)) measures 3.6e-10 at worst
+    # xi = F'^2/(sq (1 + sq)) measures 4.8e-10 at worst.  The points are
+    # log-spaced over the grid's span, so their number does not follow the grid
     e = yau_n3.engine
-    x = 0.5 * (yau_n3.native[:-1] + yau_n3.native[1:])
+    x = np.geomspace(yau_n3.native[1], yau_n3.native[-1], 8192)
     B = e.abc_of(x)[1]
     assert np.all(B >= 0.0)
     ref = fgauge_b_mp(x, e.fprime_of(x), e.parts_of(x)[2])
@@ -228,7 +229,6 @@ def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
 
 def test_a_step_build_evaluates_fprime_on_new_cells_only(monkeypatch):
     from cvlab import families, yau_counterexample
-    from cvlab.quadrature import gauss_nodes
 
     sizes = []
     cumulative = families.SmoothStepSource.cumulative
@@ -244,7 +244,9 @@ def test_a_step_build_evaluates_fprime_on_new_cells_only(monkeypatch):
     # bisected cell, one call per round
     assert len(sizes) == grid.rounds + 2
     assert sum(sizes[:-1]) == 8 * (grid.base_nodes - 1 + 2 * grid.bisected_cells)
-    assert sum(sizes[:-1]) <= 1.5 * gauss_nodes(m.native).size
+    # the base buys no accuracy, so it costs few F' points: 8 088 on 16 base
+    # nodes per decade, where a 4 096-node base cost 39 392
+    assert sum(sizes[:-1]) <= 10_000
     # then once at the grid, for the model's xi column
     assert sizes[-1] == m.native.size
 

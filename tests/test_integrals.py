@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cvlab.families import flat_metric, lp_counterexample, polynomial_xi, s3_metric
+from cvlab.families import (
+    flat_metric,
+    lp_counterexample,
+    polynomial_xi,
+    s3_metric,
+    yau_counterexample,
+)
 from cvlab.growth import log_growth_fit
 from cvlab.integrals import (
     average_scalar_curvature,
@@ -22,7 +28,7 @@ from cvlab.integrals import (
     volume_growth_report,
     volume_ratio_limit,
 )
-from cvlab.metric import build_metric
+from cvlab.metric import BuildOptions, build_metric
 from cvlab.quadrature import QuadratureError
 
 
@@ -336,3 +342,29 @@ def test_top_order_sigma_integral_diverges_logarithmically(poly05_n2, poly05_n3)
         predicted = model.c_n * pure_mu_weight * (n * xi_inf) ** n
         assert fit.diverges
         assert fit.slope == pytest.approx(predicted, rel=1e-2)
+
+
+def test_step_train_series_need_no_dense_base(yau_n3, lp_model):
+    # a 4 096-node geometric base under the bisected x grid (5k nodes against
+    # 1k) buys no accuracy: every series and the Chern number agree with the
+    # default 16-per-decade base to 2.5e-13 of the series' size (chern_2 on
+    # lp; the rest within 1.5e-13), so 2e-12 holds with room
+    cases = (
+        (yau_n3, yau_counterexample(3, 2, options=BuildOptions(x_max=2.0e4, grid_size=4096)), 2.37),
+        (lp_model, lp_counterexample(2, p=2.0, alpha=2.0, beta=3.5,
+                                     options=BuildOptions(grid_size=4096)), 2.0),
+    )
+    for coarse, dense, p in cases:
+        assert coarse.native.size < dense.native.size / 3
+        s = default_s_grid(dense)
+        pairs = [(f"lp{p}", lp_curvature_series(coarse, p, s), lp_curvature_series(dense, p, s))]
+        for k in range(1, coarse.n + 1):
+            pairs.append((f"sigma{k}", normalized_sigma_series(coarse, k, s),
+                          normalized_sigma_series(dense, k, s)))
+            pairs.append((f"chern{k}", normalized_chern_series(coarse, k, s),
+                          normalized_chern_series(dense, k, s)))
+        for key, a, b in pairs:
+            gap = np.max(np.abs(a.normalized - b.normalized)) / np.max(np.abs(b.normalized))
+            assert gap <= 2e-12, (coarse.profile.name, key, gap)
+        total = chern_number(dense).value
+        assert abs(chern_number(coarse).value - total) <= 2e-12 * abs(total)

@@ -440,6 +440,21 @@ def test_inverses_refuse_queries_past_the_last_node():
     assert m.native_from_r(m.r[-1] * (1 + 1e-12)) == m.native[-1]
 
 
+def test_inverses_answer_the_last_node_with_itself(poly05_n2):
+    # the Hermite seed lands an ulp short of the last node where the last
+    # interval's cubic rounds down: radius_from_s(s[-1]) on yau l_max=32 read
+    # 256.00138106793196 for the node 256.001381067932
+    yau = yau_counterexample(3, 2, l_max=32)
+    for m in (poly05_n2, yau):
+        for table in ("s", "r", "x"):
+            inverse, last = m._inverse(table), getattr(m, table)[-1]
+            for q in (last, last * (1 + 1e-12)):  # at the node, and clamped onto it
+                assert inverse(q)[0] == m.native[-1], (m.profile.name, table, q)
+                batch = inverse(np.array([getattr(m, table)[1], q]))[0]
+                assert batch[-1] == m.native[-1], (m.profile.name, table, q)
+    assert yau.radius_from_s(yau.s[-1]) == yau.native[-1]
+
+
 def test_nan_queries_raise(poly05_n2, yau_n3):
     # NaN passed every range check and came back plausible: v_of as the v
     # table's total, distance_s as s_end, volume_ball as 1.97e9 on poly 0.5
@@ -488,16 +503,17 @@ def test_describe_contains_the_essentials(poly05_n2):
     assert d["grid_nodes"] == len(poly05_n2.native)
     # the grid, spans and tolerance behind every number, as JSON
     assert d["options"] == asdict(poly05_n2.options)
-    # grid_size None: each gauge's own base (4 096 on x, 16 per decade on r)
+    # grid_size None: 16 geometric base nodes per decade of the span, either gauge
     assert d["options"]["grid_size"] is None and d["options"]["quad_rel_tol"] == 1e-8
     assert json.loads(json.dumps(d)) == d
 
 
 def test_yau_grid_record_pins_the_bisection(yau_n3):
     record = yau_n3.engine.grid_record
-    # deterministic: base geomspace and breakpoints, then the bisected cells
+    # deterministic: 16 geometric nodes per decade over [1e-8, 2e4] and the
+    # steps' breakpoints, then the cells where the transitions need nodes
     assert (record.base_nodes, record.bisected_cells, record.rounds, record.nodes) == (
-        4349, 544, 4, 4893
+        450, 545, 4, 995
     )
     assert record.nodes == yau_n3.native.size
     assert record.tolerance == metric_module.GRID_TOL
@@ -739,14 +755,11 @@ def test_load_drops_the_retired_nodes_per_feature_option(tmp_path, caplog):
     notes = [rec for rec in caplog.records if "nodes_per_feature" in rec.getMessage()]
     assert len(notes) == 1 and notes[0].levelname == "WARNING"
     assert "nodes_per_feature" not in loaded.describe()["options"]
-    # the same recipe, rebuilt on the bisected grid; its explicit 4 096 base
-    # nodes are the x gauge's default, so the tables are the default build's too
+    # the same recipe, rebuilt on the bisected grid from its explicit 4 096 base nodes
     built = yau_counterexample(3, 2, l_max=16, options=BuildOptions(grid_size=4096))
     assert loaded.describe() == built.describe()
-    default = yau_counterexample(3, 2, l_max=16)
     for table in ("x", "r", "v", "s"):
         assert np.array_equal(getattr(loaded, table), getattr(built, table)), table
-        assert np.array_equal(getattr(loaded, table), getattr(default, table)), table
 
 
 def test_save_is_atomic(tmp_path, poly05_n2):
