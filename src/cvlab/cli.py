@@ -6,8 +6,8 @@ and ``series`` export tables, ``chern`` prints the total Chern-power integral,
 ``report`` bundles a growth verdict with the volume-constant measurement.
 
 Exit codes: 0 success, 1 validation failure, 2 parse/usage error.
-Environment: CVLAB_GRID sets the base geometric node count of the grid, before
-bisection (default: 16 per decade of the grid's span, on either gauge).
+``--grid`` sets the base geometric node count of the grid, before bisection
+(default: 16 per decade of the grid's span, on either gauge).
 """
 
 from __future__ import annotations
@@ -85,14 +85,8 @@ def _parse_params(pairs) -> dict:
 
 
 def _build_options(args) -> BuildOptions:
-    overrides = {}
-    if getattr(args, "grid", None) is not None:
-        overrides["grid_size"] = args.grid
-    if getattr(args, "rmax", None) is not None:
-        overrides["r_max"] = args.rmax
-    if getattr(args, "xmax", None) is not None:
-        overrides["x_max"] = args.xmax
-    return BuildOptions.from_env(**overrides)
+    given = {"grid_size": args.grid, "r_max": args.rmax, "x_max": args.xmax}
+    return BuildOptions(**{name: value for name, value in given.items() if value is not None})
 
 
 def _selection(args):

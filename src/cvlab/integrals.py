@@ -36,6 +36,9 @@ from .curvature import chern_density_k, ricci_eigenvalues, scalar_curvature, sig
 from .metric import MetricClass, MetricModel
 from .quadrature import CumulativeIntegral, adaptive_integral, extrapolate_limit, scalar_like
 
+QUAD_REL_TOL = 1e-8  # relative tolerance of a single ball's adaptive quadrature
+SERIES_POINTS = 64  # ball radii of a default series
+
 
 # ---------------------------------------------------------------------------
 # coordinates and volume
@@ -109,7 +112,7 @@ def _ball_integrand(model: MetricModel, density):
 # single ball integrals (adaptive, tolerance-controlled)
 
 
-def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None = None) -> float:
+def ball_integral(model: MetricModel, density, s: float, rel_tol: float = QUAD_REL_TOL) -> float:
     """Integral of a pointwise density over the geodesic ball B(s).
 
     ``density`` maps arrays A, B, C of the curvature components to values of
@@ -119,10 +122,9 @@ def ball_integral(model: MetricModel, density, s: float, rel_tol: float | None =
     raises QuadratureError on failure.
     """
     t_end = float(model.radius_from_s(float(s)))
-    tol = rel_tol if rel_tol is not None else model.options.quad_rel_tol
     bps = np.asarray(model.engine.breakpoints_native, dtype=float)
     integrand = _ball_integrand(model, density)
-    return model.c_n * adaptive_integral(integrand, 0.0, t_end, rel_tol=tol, breakpoints=bps)
+    return model.c_n * adaptive_integral(integrand, 0.0, t_end, rel_tol=rel_tol, breakpoints=bps)
 
 
 def average_scalar_curvature(model: MetricModel, s: float) -> float:
@@ -165,12 +167,11 @@ def _density_cumulative(model: MetricModel, key) -> CumulativeIntegral:
     return cache[key]
 
 
-def default_s_grid(model: MetricModel, points: int | None = None) -> np.ndarray:
+def default_s_grid(model: MetricModel, points: int = SERIES_POINTS) -> np.ndarray:
     """Log-spaced ball radii from s(r = 1) out to the end of the grid."""
-    pts = points if points is not None else model.options.series_points
     s_lo = distance_s(model, r=1.0)
     s_hi = float(model.s[-1])
-    return np.geomspace(s_lo, s_hi, pts)
+    return np.geomspace(s_lo, s_hi, points)
 
 
 def _series(model, key, s_grid, label, normalize, scale=1.0, k=None, p=None):

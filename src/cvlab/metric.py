@@ -35,7 +35,7 @@ import logging
 import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -122,19 +122,12 @@ class Classification:
 
 @dataclass(frozen=True)
 class BuildOptions:
+    """What builds a model besides its profile and n, and all a saved model keeps."""
+
     grid_size: int | None = None  # base geometric nodes; None: 16 per decade of the span
     r_max: float = 1e8  # span of the r-grid for xi- and h-kind profiles
     x_max: float | None = None  # span of the x-grid for fpp-kind; default from profile
     h0: float = 1.0
-    quad_rel_tol: float = 1e-8
-    series_points: int = 64
-
-    @staticmethod
-    def from_env(**overrides) -> "BuildOptions":
-        opts = BuildOptions(**overrides)
-        if "CVLAB_GRID" in os.environ and "grid_size" not in overrides:
-            opts = replace(opts, grid_size=int(os.environ["CVLAB_GRID"]))
-        return opts
 
 
 @dataclass(frozen=True)
@@ -297,15 +290,12 @@ class Engine:
     ``parts_of(t)`` gives (A, v, w, xi, v'), each table read once (xi last:
     read first, it doubled a batched call's page faults), with v' = dv/dt
     formed from what A already read.  ``node_parts()`` gives the same at
-    ``gauss_nodes(grid)`` from the tables' own node values, reading no
-    table; one per-gauge formula serves both.  The F gauge keeps F' and F''
-    at the nodes from its build (F' of a step train is the costliest
-    evaluation a model makes); the xi gauge evaluates xi and xi' again, as
-    keeping them raised a 4k-node study's peak memory by 1.2 MB and saved
-    no measurable time.  ``curvature_of(t)`` and
-    ``node_curvature()`` turn them into (A, B, C, v, v'), the one pass a ball
-    integrand needs; the (A, B, C) algebra, f = v/r and the breakpoints are
-    written once on top of them.
+    ``gauss_nodes(grid)``, reading no table and evaluating no profile: the F
+    gauge keeps F' and F'' at the nodes from its build, the xi gauge xi, xi'
+    and h, and the tables give their own node values.  One per-gauge formula
+    serves both.  ``curvature_of(t)`` and ``node_curvature()`` turn them into
+    (A, B, C, v, v'), the one pass a ball integrand needs; the (A, B, C)
+    algebra, f = v/r and the breakpoints are written once on top of them.
     """
 
     representation: Representation
@@ -377,12 +367,10 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         nodes = gauss_nodes(grid)
         # xi(0) = 0 makes xi(t)/t integrable; quadrature nodes never sit at 0
         log_h = CumulativeIntegral(xi_nodes / nodes, grid)
+        h_nodes = opts.h0 * np.exp(-log_h.at_nodes())
 
         def h_fn(t):
             return opts.h0 * np.exp(-log_h(t))
-
-        def h_at_nodes():
-            return opts.h0 * np.exp(-log_h.at_nodes())
 
         def xi_prime_of(t):
             exact = profile.source.derivative(_as_float(t))
@@ -408,11 +396,10 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
             return np.where(t == 0.0, 0.0, -t * _as_float(hp) / h_fn(t))
 
         grid, (xi_nodes,), record = _bisected_grid("r", grid, lambda t: (xi_fn(t),), _xi_tail)
+        nodes = gauss_nodes(grid)
+        h_nodes = h_fn(nodes)
 
-        def h_at_nodes():
-            return h_fn(gauss_nodes(grid))
-
-    h_nodes = h_at_nodes()
+    xi_prime_nodes = xi_prime_of(nodes)
     v = CumulativeIntegral(h_nodes, grid)
     w = CumulativeIntegral(xi_nodes * h_nodes, grid)
     ugrid = np.sqrt(grid)
@@ -424,8 +411,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
         return _xi_parts(xi_prime_of(t), h_fn(t), v(t), w(t), xi_fn(t))
 
     def node_parts():
-        t = gauss_nodes(grid)
-        return _xi_parts(xi_prime_of(t), h_at_nodes(), v.at_nodes(), w.at_nodes(), xi_fn(t))
+        return _xi_parts(xi_prime_nodes, h_nodes, v.at_nodes(), w.at_nodes(), xi_nodes)
 
     return Engine(
         Representation.FROM_XI, profile, grid, record, h_origin,
@@ -496,6 +482,23 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     )
 
 
+def _check_range(name: str, q, first: float, last: float) -> float:
+    """max(q), once each query q of the table ``name`` is 0 or in [first, last]
+    (a relative 1e-9 past ``last`` passes); else, NaN included, ValueError.
+    An in-range query costs two reductions (none for a 0-d q, which compares
+    as a float) and two scalar comparisons."""
+    low, top = (q.min(initial=np.inf), q.max(initial=-np.inf)) if q.ndim else (float(q),) * 2
+    if not low >= first:  # NaN fails here
+        low = np.min(q[q != 0], initial=np.inf)  # the origin is always in range
+        if not low >= first:
+            why = ("not a number" if np.isnan(low) else "below 0" if first == 0
+                   else f"below the first positive table node {name}1 = {first:.6g}")
+            raise ValueError(f"{name} = {low:.6g} is {why}")
+    if not top <= last * (1 + 1e-9):
+        raise ValueError(f"{name} = {top:.6g} is beyond the tabulated {name} <= {last:.6g}")
+    return top
+
+
 class _TableInverse:
     """The native coordinate t at values q of an increasing table q(t).
 
@@ -534,16 +537,8 @@ class _TableInverse:
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
         lq_nodes, q = self._lq, _as_float(q)  # a 0-d query computes on numpy scalars
+        top = _check_range(self.name, q, self._q[0], self._q[-1])
         origin = q == 0
-        if not np.all((q >= self._q[0]) | origin):  # NaN fails here
-            low = np.min(q[~origin])
-            why = ("not a number" if np.isnan(low)
-                   else f"below the first positive table node {self.name}1 = {self._q[0]:.6g}")
-            raise ValueError(f"{self.name} = {low:.6g} is {why}")
-        top = q.max(initial=-np.inf)
-        if not top <= self._q[-1] * (1 + 1e-9):
-            raise ValueError(f"{self.name} = {top:.6g} is beyond the tabulated "
-                             f"{self.name} <= {self._q[-1]:.6g}")
         q = np.minimum(np.maximum(q, self._q[0]), self._q[-1])
         lq = np.log(q)
         i = np.minimum(np.maximum(lq_nodes.searchsorted(lq, side="right") - 1, 0), lq_nodes.size - 2)
@@ -640,17 +635,24 @@ class MetricModel:
             raise ValueError(f"distance outside the tabulated range (0, {self.s[-1]:.6g}]")
         return scalar_like(s, self._inverse("s")(s_arr)[0])
 
+    def _native_from(self, table: str, q):
+        """Native radius at the ``r`` or ``x`` coordinate q: in the model's own
+        coordinate q itself, checked and clamped onto the last node as by an inverse."""
+        q_arr = _as_float(q)
+        if table != ("r" if self.representation is Representation.FROM_XI else "x"):
+            return scalar_like(q, self._inverse(table)(q_arr)[0])
+        end = self.native_end
+        if _check_range(table, q_arr, 0.0, end) > end:
+            q_arr = np.minimum(q_arr, end)
+        return scalar_like(q, q_arr)
+
     def native_from_r(self, r):
         """Native radius at r = |z|^2."""
-        if self.representation is Representation.FROM_XI:
-            return np.asarray(r, dtype=float)
-        return self._inverse("r")(r)[0]
+        return self._native_from("r", r)
 
     def native_from_x(self, x):
-        """Native radius at transverse radius x (x^2 = r*h)."""
-        if self.representation is Representation.FROM_F:
-            return np.asarray(x, dtype=float)
-        return self._inverse("x")(x)[0]  # past saturation no radius has this x
+        """Native radius at transverse radius x (x^2 = r*h); none past saturation."""
+        return self._native_from("x", x)
 
     def describe(self) -> dict:
         cls = self.classification
@@ -826,13 +828,13 @@ def load_metric(path) -> MetricModel:
     the same cvlab grid rule.
 
     A sampled generator is interpolated by scipy's PCHIP, so a sampled model
-    is bit-identical on the same scipy build too.  A file whose options name
-    ``nodes_per_feature`` (a fixed step refinement, since replaced by the
-    bisected x grid) loads without it, logs that once, and rebuilds on the
-    bisected grid, so its tables move within that grid's tolerance.  A file
-    saved with ``grid_size`` null rebuilds on the base of 16 nodes per decade;
-    one saved when the x gauge's default base was 4 096 nodes gets x-gauge
-    tables that move within GRID_TOL.
+    is bit-identical on the same scipy build too.  Retired build options
+    (``nodes_per_feature``, whose bisected x grid moves the tables within its
+    tolerance; the quadrature tolerance and series length, now constants of
+    ``cvlab.integrals``) are dropped with one warning naming them, and any
+    other unknown option fails to load.  A file saved with ``grid_size`` null
+    rebuilds on the base of 16 nodes per decade; one saved when the x gauge's
+    default base was 4 096 nodes gets x-gauge tables that move within GRID_TOL.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -852,7 +854,8 @@ def load_metric(path) -> MetricModel:
         GeneratorKind(spec["kind"]), source_type.from_spec(spec["spec"]), name=spec["name"]
     )
     options = doc["options"]
-    if options.pop("nodes_per_feature", None) is not None:
-        log.warning("%s: dropped the retired build option nodes_per_feature; the model "
-                    "rebuilds on the bisected x grid", path)
+    retired = {key: options.pop(key) for key in ("nodes_per_feature", "quad_rel_tol",
+                                                  "series_points") if key in options}
+    if retired:
+        log.warning("%s: dropped the retired build option(s) %s", path, ", ".join(retired))
     return build_metric(profile, doc["n"], BuildOptions(**options))

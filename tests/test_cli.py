@@ -242,22 +242,6 @@ def test_report_bundles_all_sections(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == doc
 
 
-# ---------------------------------------------------------------------------
-# environment overrides
-
-
-def test_env_grid_override_changes_build(capsys, monkeypatch):
-    monkeypatch.setenv("CVLAB_GRID", "256")
-    code, out, _ = run(capsys, "classify", "--family", "poly", "--param", "a=0.5")
-    assert code == 0
-    small = json.loads(out)["grid_nodes"]
-    monkeypatch.delenv("CVLAB_GRID")
-    code, out, _ = run(capsys, "classify", "--family", "poly", "--param", "a=0.5",
-                       "--grid", "1024")
-    big = json.loads(out)["grid_nodes"]
-    assert small < big
-
-
 def test_profile_file_with_family_spec(capsys, tmp_path):
     prof = tmp_path / "model.profile"
     prof.write_text("kind = family\nfamily = poly\na = 0.25\n")

@@ -175,18 +175,22 @@ def test_curvature_nonnegative_for_valid_profiles(poly05_n2, yau_n3, s3_n2, lp_m
 
 
 def test_f_gauge_b_keeps_its_digits_where_fprime_is_small(yau_n3):
-    # B written as (x^2 (sq - 1) - w)/(v^2 sq) loses every digit as F' -> 0
-    # (100% off, some values negative); the shared (xi v - w)/v^2 with
-    # xi = F'^2/(sq (1 + sq)) measures 4.8e-10 at worst.  The points are
-    # log-spaced over the grid's span, so their number does not follow the grid
     e = yau_n3.engine
-    x = np.geomspace(yau_n3.native[1], yau_n3.native[-1], 8192)
-    B = e.abc_of(x)[1]
+    B = e.abc_of(np.geomspace(yau_n3.native[1], yau_n3.native[-1], 8192))[1]
     assert np.all(B >= 0.0)
-    ref = fgauge_b_mp(x, e.fprime_of(x), e.parts_of(x)[2])
-    small = (np.abs(ref) > 0) & (np.abs(ref) < 1e-8 * np.max(np.abs(ref)))
-    assert np.count_nonzero(small) > 400
-    assert np.allclose(B[small], ref[small], rtol=1e-9, atol=0.0)
+    # F' climbs from 0 on the first step's rise, sampled geometrically in x - a
+    # down to 1e-8 of the rise's width; 954 of the points have 0 < F' <= 1e-3.
+    # There B written as (x^2 (sq - 1) - w)/(v^2 sq) loses every digit (up to
+    # 34 times off, 67 values negative); the shared (xi v - w)/v^2 with
+    # xi = F'^2/(sq (1 + sq)) measures 1.1e-15 at worst
+    source = yau_n3.profile.source
+    x = source.a[0] + np.geomspace(1e-8, 1.0, 1024) * source.tw[0]
+    p = e.fprime_of(x)
+    small = (p > 0.0) & (p <= 1e-3)
+    assert np.count_nonzero(small) >= 400
+    x, p = x[small], p[small]
+    ref = fgauge_b_mp(x, p, e.parts_of(x)[2])
+    assert np.allclose(e.abc_of(x)[1], ref, rtol=1e-9, atol=0.0)
 
 
 def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
@@ -225,6 +229,40 @@ def test_abc_of_reads_each_table_once(monkeypatch, poly05_n2):
         _density_cumulative(m, ("sigma", 2))
         mixed_curvature_ibp(m, 1)
         assert not reads
+
+
+def test_node_tables_evaluate_no_profile(monkeypatch):
+    # the engine runs once per node: a density table and the IBP check read
+    # the node values the build kept (xi, xi' and h on the r gauge, F' and
+    # F'' on the x gauge) and evaluate the generator nowhere
+    from cvlab import (
+        ClosedFormSource,
+        GeneratorKind,
+        GeneratorProfile,
+        build_metric,
+        polynomial_xi,
+        s3_metric,
+        yau_counterexample,
+    )
+    from cvlab.integrals import _density_cumulative, mixed_curvature_ibp
+
+    h_kind = GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5"))
+    models = (build_metric(polynomial_xi(0.5), 2), s3_metric(2, r0=1.0),
+              build_metric(h_kind, 2), yau_counterexample(3, 2, l_max=16))
+    calls = Counter()
+    for cls in {type(m.profile.source) for m in models}:
+        for name in ("__call__", "derivative", "cumulative"):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, t, _m=method, _n=name:
+                                calls.update([_n]) or _m(self, t))
+    for m in models:
+        _density_cumulative(m, ("sigma", 2))
+        if np.max(m.xi) < 1.0 - 1e-12:  # s3 saturates, and the identity needs xi < 1
+            mixed_curvature_ibp(m, 1)
+        assert not calls, (m.profile.name, dict(calls))
+    # the counter sees a query that does evaluate the generator
+    models[0].engine.abc_of(1.0)
+    assert calls
 
 
 def test_a_step_build_evaluates_fprime_on_new_cells_only(monkeypatch):

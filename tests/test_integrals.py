@@ -12,6 +12,7 @@ from cvlab.families import (
 )
 from cvlab.growth import log_growth_fit
 from cvlab.integrals import (
+    SERIES_POINTS,
     average_scalar_curvature,
     average_scalar_series,
     ball_integral,
@@ -127,7 +128,7 @@ def test_ball_integral_raises_on_hopeless_density(poly05_n2):
 
 def test_default_s_grid_spans_r_one_to_grid_end(poly05_n2):
     g = default_s_grid(poly05_n2)
-    assert len(g) == poly05_n2.options.series_points
+    assert len(g) == SERIES_POINTS
     assert g[0] == pytest.approx(distance_s(poly05_n2, r=1.0), rel=1e-12)
     assert g[-1] == pytest.approx(float(poly05_n2.s[-1]), rel=1e-12)
     assert np.all(np.diff(np.log(g)) > 0)

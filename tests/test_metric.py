@@ -1,7 +1,9 @@
 import json
 import logging
 import math
+import re
 from dataclasses import asdict
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -440,6 +442,28 @@ def test_inverses_refuse_queries_past_the_last_node():
     assert m.native_from_r(m.r[-1] * (1 + 1e-12)) == m.native[-1]
 
 
+def test_a_models_own_coordinate_is_range_checked(poly05_n2, yau_n3):
+    # r on the r gauge and x on the x gauge need no inverse, and were taken as
+    # given: abc_at_r(-1.0) on poly raised a division by zero deep in the
+    # profile, and native_from_r gave -1.0, nan and 1e30 back
+    for m, table, abc in ((poly05_n2, "r", abc_at_r), (yau_n3, "x", abc_at_x)):
+        native = getattr(m, f"native_from_{table}")
+        queries = (native, partial(abc, m), lambda q: distance_s(m, **{table: q}))
+        for q, why in ((-1.0, "-1 is below 0"), (math.nan, "nan is not a number"),
+                       (1e30, f"1e+30 is beyond the tabulated {table} <=")):
+            for query in queries:
+                with pytest.raises(ValueError, match=re.escape(f"{table} = {why}")):
+                    query(q)
+                with pytest.raises(ValueError, match=re.escape(f"{table} = {why}")):
+                    query(np.array([0.0, 1.0, q]))
+        # in range the coordinate comes back bit for bit, the origin included;
+        # rounding past the last node answers the node, as an inverse does
+        nodes = getattr(m, table)
+        assert np.array_equal(native(nodes), m.native)
+        assert native(0.0) == 0.0
+        assert native(m.native_end * (1 + 1e-12)) == m.native_end
+
+
 def test_inverses_answer_the_last_node_with_itself(poly05_n2):
     # the Hermite seed lands an ulp short of the last node where the last
     # interval's cubic rounds down: radius_from_s(s[-1]) on yau l_max=32 read
@@ -459,15 +483,15 @@ def test_nan_queries_raise(poly05_n2, yau_n3):
     # NaN passed every range check and came back plausible: v_of as the v
     # table's total, distance_s as s_end, volume_ball as 1.97e9 on poly 0.5
     m, nan = poly05_n2, float("nan")
-    # a table query: the r gauge reads s at r itself, the x gauge v at x
-    for query in (lambda: m.engine.v_of(nan), lambda: distance_s(m, r=nan),
-                  lambda: distance_s(yau_n3, x=nan)):
-        with pytest.raises(ValueError, match="outside"):
-            query()
-    # an inverse: volume_ball(s) goes through radius_from_s
+    # a table query
+    with pytest.raises(ValueError, match="outside"):
+        m.engine.v_of(nan)
+    # an inverse (volume_ball(s) goes through radius_from_s), or the range
+    # check of a model's own coordinate: the r gauge at r, the x gauge at x
     for query in (lambda: volume_ball(m, nan), lambda: m.radius_from_s(nan),
                   lambda: m.radius_from_s(np.array([1.0, nan])),
-                  lambda: yau_n3.native_from_r(np.array([[nan]])), lambda: m.native_from_x(nan)):
+                  lambda: yau_n3.native_from_r(np.array([[nan]])), lambda: m.native_from_x(nan),
+                  lambda: distance_s(m, r=nan), lambda: distance_s(yau_n3, x=nan)):
         with pytest.raises(ValueError, match="nan is not a number"):
             query()
 
@@ -503,8 +527,10 @@ def test_describe_contains_the_essentials(poly05_n2):
     assert d["grid_nodes"] == len(poly05_n2.native)
     # the grid, spans and tolerance behind every number, as JSON
     assert d["options"] == asdict(poly05_n2.options)
-    # grid_size None: 16 geometric base nodes per decade of the span, either gauge
-    assert d["options"]["grid_size"] is None and d["options"]["quad_rel_tol"] == 1e-8
+    # exactly what builds a model; grid_size None: 16 geometric base nodes per
+    # decade of the span, either gauge
+    assert set(d["options"]) == {"grid_size", "r_max", "x_max", "h0"}
+    assert d["options"]["grid_size"] is None
     assert json.loads(json.dumps(d)) == d
 
 
@@ -627,14 +653,6 @@ def test_yau_grid_meets_its_node_budget_and_tolerance(yau_n3):
     assert np.max(tail) / scale == pytest.approx(m.engine.grid_record.worst_estimate, rel=1e-12)
 
 
-def test_build_options_from_env(monkeypatch):
-    monkeypatch.setenv("CVLAB_GRID", "1024")
-    opts = BuildOptions.from_env()
-    assert opts.grid_size == 1024
-    override = BuildOptions.from_env(grid_size=2048)
-    assert override.grid_size == 2048
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -754,12 +772,42 @@ def test_load_drops_the_retired_nodes_per_feature_option(tmp_path, caplog):
         loaded = load_metric(path)
     notes = [rec for rec in caplog.records if "nodes_per_feature" in rec.getMessage()]
     assert len(notes) == 1 and notes[0].levelname == "WARNING"
+    assert "nodes_per_feature, quad_rel_tol, series_points" in notes[0].getMessage()
     assert "nodes_per_feature" not in loaded.describe()["options"]
     # the same recipe, rebuilt on the bisected grid from its explicit 4 096 base nodes
     built = yau_counterexample(3, 2, l_max=16, options=BuildOptions(grid_size=4096))
     assert loaded.describe() == built.describe()
     for table in ("x", "r", "v", "s"):
         assert np.array_equal(getattr(loaded, table), getattr(built, table)), table
+
+
+# a poly n=2 model file as saved while the quadrature tolerance and the
+# series length were build options
+SERIES_OPTIONS_FORMAT = (
+    '{"schema": 2, "n": 2, "options": {"grid_size": null, "r_max": 100000000.0, '
+    '"x_max": null, "h0": 1.0, "quad_rel_tol": 1e-08, "series_points": 64}, "profile": '
+    '{"kind": "xi", "name": "poly-xi(a=0.5, rational)", "source": "ClosedFormSource", '
+    '"spec": {"ast": "0.5 * t / (1.0 + t)", "domain_end": Infinity}}}\n'
+)
+
+
+def test_load_drops_the_retired_series_options(tmp_path, caplog, poly05_n2):
+    path = tmp_path / "model.json"
+    path.write_text(SERIES_OPTIONS_FORMAT)
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        loaded = load_metric(path)
+    notes = [rec for rec in caplog.records if rec.levelname == "WARNING"]
+    assert len(notes) == 1
+    assert "quad_rel_tol, series_points" in notes[0].getMessage()
+    assert loaded.describe() == poly05_n2.describe()
+    assert np.array_equal(loaded.s, poly05_n2.s)
+
+
+def test_load_refuses_an_unknown_option(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(SERIES_OPTIONS_FORMAT.replace('"series_points"', '"series_length"'))
+    with pytest.raises(TypeError, match="series_length"):
+        load_metric(path)
 
 
 def test_save_is_atomic(tmp_path, poly05_n2):
@@ -802,6 +850,8 @@ def test_point_functions_scalar_contract(fixture, request):
     _assert_scalar_contract(lambda q: distance_s(m, x=q), x)
     _assert_scalar_contract(lambda q: volume_ball(m, q), s)
     _assert_scalar_contract(m.radius_from_s, s)
+    _assert_scalar_contract(m.native_from_r, r)
+    _assert_scalar_contract(m.native_from_x, x)
 
 
 def test_conversions_scalar_contract():
