@@ -4,8 +4,11 @@
     python3 scripts/fingerprint.py OUT.npz
     python3 scripts/fingerprint.py --compare A.npz B.npz
 
-The dump covers seven models (poly n=2 rational, poly n=3 exponential, s3,
-flat, yau n=3 and lp n=2 with l_max 32, and the h-kind (1 + t)^-0.5): the
+The dump covers nine models (poly n=2 rational, poly n=3 exponential, s3,
+flat, yau n=3 and lp n=2 with l_max 32, the h-kind (1 + t)^-0.5, and two
+sampled generators: xi = 0.5 t/(1 + t) at 0 and 400 geometric points on
+[1e-6, 1e8], and h = (1 + t)^-0.5 at 0, 1 200 geometric points on
+[1e-9, 1e4] and two more 0.1% apart past 1e4): the
 model tables; each engine method at 50 points, once as one array query and
 once as 50 scalar queries; every sigma, Chern, L^p and scalar series;
 ``chern_number``; the IBP identity and, as a key of its own, its condition
@@ -38,6 +41,7 @@ from cvlab import (
     ClosedFormSource,
     GeneratorKind,
     GeneratorProfile,
+    SampledSource,
     build_metric,
     flat_metric,
     lp_counterexample,
@@ -72,6 +76,13 @@ UNSCORED = (".table.", f".chern_number[{CHERN_FIELDS.index('identity_residual')}
 
 def models():
     h_kind = GeneratorProfile(GeneratorKind.H, ClosedFormSource("(1 + t) ^ -0.5"), name="h-kind")
+    ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e8, 400)))
+    sampled = GeneratorProfile(GeneratorKind.XI, SampledSource(ts, 0.5 * ts / (1.0 + ts)),
+                               name="sampled")
+    last = 1e4 * (1.0 + np.array([1e-3, 2e-3]))
+    ts = np.concatenate(([0.0], np.geomspace(1e-9, 1e4, 1200), last))
+    sampled_h = GeneratorProfile(GeneratorKind.H, SampledSource(ts, (1.0 + ts) ** -0.5),
+                                 name="sampled-h")
     return {
         "poly2": lambda: build_metric(polynomial_xi(0.5), 2),
         "poly3exp": lambda: build_metric(polynomial_xi(0.5, "exponential"), 3),
@@ -80,6 +91,8 @@ def models():
         "yau3": lambda: yau_counterexample(3, 2, l_max=32),
         "lp2": lambda: lp_counterexample(2, l_max=32),
         "hkind": lambda: build_metric(h_kind, 2),
+        "sampled": lambda: build_metric(sampled, 2),
+        "sampledh": lambda: build_metric(sampled_h, 2),
     }
 
 

@@ -8,8 +8,9 @@ Grammar (whitespace-insensitive, single variable ``t``)::
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
-Functions: ``exp``, ``ln``, ``sqrt`` and ``min1`` (``min1(x) = min(x, 1)``,
-convenient for profiles that saturate at one).  Evaluation is vectorized over
+Functions: ``exp``, ``expm1`` (``exp(x) - 1`` without its cancellation near
+0), ``ln``, ``sqrt`` and ``min1`` (``min1(x) = min(x, 1)``, convenient for
+profiles that saturate at one).  Evaluation is vectorized over
 numpy arrays; domain problems raise ``EvaluationError`` pointing at the
 offending source position instead of propagating NaN.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_UNARY_FUNCS = ("exp", "ln", "sqrt", "min1")
+_UNARY_FUNCS = ("exp", "expm1", "ln", "sqrt", "min1")
 
 
 class ExpressionError(ValueError):
@@ -53,7 +54,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # 'neg' | 'exp' | 'ln' | 'sqrt' | 'min1'
+    op: str  # 'neg' | 'exp' | 'expm1' | 'ln' | 'sqrt' | 'min1'
     arg: "Expr"
     pos: int = field(default=0, compare=False)
 
@@ -246,10 +247,10 @@ def _apply(node: Unary | Binary, a, b=None):
     if isinstance(node, Unary):
         if node.op == "neg":
             return -a
-        if node.op == "exp":
-            out = np.exp(a)
+        if node.op in ("exp", "expm1"):
+            out = np.exp(a) if node.op == "exp" else np.expm1(a)
             if np.any(np.isinf(out)):
-                raise EvaluationError("exp overflow", node.pos)
+                raise EvaluationError(f"{node.op} overflow", node.pos)
             return out
         if node.op == "ln":
             if np.any(np.asarray(a) <= 0.0):
@@ -310,6 +311,9 @@ def _eval_dual(node: Expr, t: np.ndarray):
             return val, -da
         if node.op == "exp":
             return val, val * da
+        if node.op == "expm1":
+            # exp(a) da, not (val + 1) da: that rounds to 0 once exp(a) < eps
+            return val, np.exp(a) * da
         if node.op == "ln":
             return val, da / a
         if node.op == "sqrt":

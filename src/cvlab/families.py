@@ -262,13 +262,14 @@ def smooth_step_profile(profile: GeneratorProfile, factor: float = 0.25) -> Gene
 
 
 def polynomial_xi(a: float, shape: str = "rational") -> GeneratorProfile:
-    """Smooth xi profile with limit a: rational a*t/(1+t) or exponential a*(1-exp(-t))."""
+    """Smooth xi profile with limit a: rational a*t/(1+t), or exponential a*(1-exp(-t)),
+    written -a*expm1(-t) so that it keeps its digits near t = 0."""
     if not 0.0 <= a <= 1.0:
         raise ProfileError("limit a must lie in [0, 1] for a valid xi profile")
     if shape == "rational":
         src = f"{a!r} * t / (1 + t)"
     elif shape == "exponential":
-        src = f"{a!r} * (1 - exp(-t))"
+        src = f"-{a!r} * expm1(-t)"
     else:
         raise ProfileError(f"shape must be 'rational' or 'exponential', got {shape!r}")
     return GeneratorProfile(

@@ -38,6 +38,7 @@ from .quadrature import CumulativeIntegral, adaptive_integral, extrapolate_limit
 
 QUAD_REL_TOL = 1e-8  # relative tolerance of a single ball's adaptive quadrature
 SERIES_POINTS = 64  # ball radii of a default series
+VOLUME_MATCH_TOL = 0.02  # relative gap at which a volume constant matches a candidate
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +374,14 @@ class VolumeGrowthReport:
     samples: tuple
 
 
-def volume_growth_report(model: MetricModel, match_tol: float = 0.02) -> VolumeGrowthReport:
+def volume_growth_report(model: MetricModel) -> VolumeGrowthReport:
     """Measure lim Vol(B(s)) / s^p for the model's growth class.
 
     Euclidean-type metrics (flat, S1) use p = 2n and extrapolate the
     algebraic approach; saturated metrics (S3) use p = n where the approach
-    is O(1/log r) and is removed by a linear fit in 1/log.
+    is O(1/log r) and is removed by a linear fit in 1/log.  ``matched`` names
+    the first candidate within a relative VOLUME_MATCH_TOL of the measured
+    constant, or is None.
     """
     n = model.n
     cls = model.classification
@@ -416,7 +419,7 @@ def volume_growth_report(model: MetricModel, match_tol: float = 0.02) -> VolumeG
     matched = None
     for name, value in candidates.items():
         scale = max(abs(value), 1e-300)
-        if abs(measured - value) / scale <= match_tol:
+        if abs(measured - value) / scale <= VOLUME_MATCH_TOL:
             matched = name
             break
     return VolumeGrowthReport(

@@ -52,6 +52,7 @@ from .profiles import (
     eval_profile,
 )
 from .quadrature import (
+    CubicHermite,
     CumulativeIntegral,
     cell_ends,
     cell_tails,
@@ -184,7 +185,8 @@ def _bisected_grid(gauge: str, grid, evaluate, estimate):
     cell's Legendre tail and the scale it is held against (the total
     variation of xi).  Each round bisects the cells whose tail exceeds
     GRID_TOL times the scale, down to the MIN_CELL width floor and for at most
-    GRID_ROUNDS rounds; ``evaluate`` runs on the new cells only.  Returns the
+    GRID_ROUNDS rounds; ``evaluate`` runs on the new cells only.  Any cell
+    left above tolerance, at the floor or not, is one WARNING.  Returns the
     grid, the node values on it and its ``GridRecord``.
     """
     base = grid.size
@@ -209,9 +211,11 @@ def _bisected_grid(gauge: str, grid, evaluate, estimate):
         values = tuple(_merge_rows(old[~split], rows, fresh) for old, rows in zip(values, new))
         bisected += int(np.count_nonzero(split))
     worst = float(np.max(tail)) / scale if scale > 0 else 0.0
-    if np.any(split):
-        log.warning("%s grid: %d cell(s) above tolerance after %d bisection rounds",
-                    gauge, int(np.count_nonzero(split)), rounds)
+    if worst > GRID_TOL:
+        above = tail > GRID_TOL * scale
+        log.warning("%s grid: %d cell(s) above tolerance after %d bisection rounds, %d of them "
+                    "at the width floor", gauge, int(np.count_nonzero(above)), rounds,
+                    int(np.count_nonzero(above & ~split)))
     log.info("%s grid: %d base nodes, %d cells bisected in %d rounds, %d nodes, worst cell "
              "estimate %.3g (tolerance %.0e)", gauge, base, bisected, rounds, grid.size, worst,
              GRID_TOL)
@@ -502,8 +506,8 @@ def _check_range(name: str, q, first: float, last: float) -> float:
 class _TableInverse:
     """The native coordinate t at values q of an increasing table q(t).
 
-    Seed: the cubic Hermite of ln t against ln q through the positive table
-    nodes, with the exact node slopes d ln t/d ln q.  An interval where a
+    Seed: the ``CubicHermite`` of ln t against ln q through the positive
+    table nodes, with the exact node slopes d ln t/d ln q.  An interval where a
     slope is unbounded (the saturated x plateau), or where the cubic would not
     be monotone (Fritsch & Carlson's test), is linear as in ``np.interp``.
     Polish: Newton steps on ln q(t) = ln q, with the seed's own slope and
@@ -524,30 +528,25 @@ class _TableInverse:
         keep = np.concatenate(([True], q[1:] > np.maximum.accumulate(q)[:-1]))
         self.name, self._q_of = name, q_of
         self._q, self._t, dq = q[keep], t[keep], dq[keep]
-        self._lq, self._lt = np.log(self._q), np.log(self._t)
-        secant = np.diff(self._lt) / np.diff(self._lq)
+        lq, lt = np.log(self._q), np.log(self._t)
+        secant = np.diff(lt) / np.diff(lq)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 / dq  # d ln t/d ln q, infinite where q is flat in t
             a, b = m[:-1] / secant, m[1:] / secant
             cubic = (a >= 0) & (b >= 0) & (a * a + b * b <= 9.0)  # False on inf, nan
-        m0, m1 = np.where(cubic, m[:-1], secant), np.where(cubic, m[1:], secant)
-        self._coef = np.stack((m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant))
+        self._seed = CubicHermite(lq, lt, np.where(cubic, m[:-1], secant),
+                                  np.where(cubic, m[1:], secant))
         self._flat = (dq[:-1] <= FLAT_SLOPE) | (dq[1:] <= FLAT_SLOPE)
 
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
-        lq_nodes, q = self._lq, _as_float(q)  # a 0-d query computes on numpy scalars
+        q = _as_float(q)  # a 0-d query computes on numpy scalars
         top = _check_range(self.name, q, self._q[0], self._q[-1])
         origin = q == 0
         q = np.minimum(np.maximum(q, self._q[0]), self._q[-1])
-        lq = np.log(q)
-        i = np.minimum(np.maximum(lq_nodes.searchsorted(lq, side="right") - 1, 0), lq_nodes.size - 2)
-        c1, c2, c3 = self._coef.take(i, axis=1)
-        d = lq - lq_nodes[i]
-        u = d / (lq_nodes[i + 1] - lq_nodes[i])
-        slope = c1 + u * (2.0 * c2 + 3.0 * u * c3)
+        i, lt, slope = self._seed(np.log(q))
         lo, hi = self._t[i], self._t[i + 1]
-        t = np.minimum(np.maximum(np.exp(self._lt[i] + d * (c1 + u * (c2 + u * c3))), lo), hi)
+        t = np.minimum(np.maximum(np.exp(lt), lo), hi)
         if top >= self._q[-1]:  # the seed can land an ulp short of the last node
             t = np.where(q == self._q[-1], self._t[-1], t)
         res = np.log(self._q_of(t) / q)
@@ -825,10 +824,8 @@ def save_metric(model: MetricModel, path) -> None:
 
 def load_metric(path) -> MetricModel:
     """Rebuild a saved model; bit-identical to it on the same numpy build and
-    the same cvlab grid rule.
-
-    A sampled generator is interpolated by scipy's PCHIP, so a sampled model
-    is bit-identical on the same scipy build too.  Retired build options
+    the same cvlab grid rule, sampled generators included (their monotone
+    cubic is computed in numpy).  Retired build options
     (``nodes_per_feature``, whose bisected x grid moves the tables within its
     tolerance; the quadrature tolerance and series length, now constants of
     ``cvlab.integrals``) are dropped with one warning naming them, and any

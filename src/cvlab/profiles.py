@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import Expr, evaluate, evaluate_derivative, parse_expression, to_source
-from .quadrature import unique_sorted
+from .quadrature import CubicHermite, unique_sorted
 
 XI_ZERO_TOL = 1e-12  # |xi(0)| must not exceed this
 SLOPE_TOL = -1e-9  # finite-difference slopes may dip this far below zero
@@ -136,8 +136,40 @@ class ClosedFormSource(ProfileSource):
         return f"ClosedFormSource({to_source(self.ast)!r})"
 
 
+def _pchip_slopes(x, y):
+    """Node slopes of the monotone piecewise cubic through (x, y), by the PCHIP
+    rules (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984, with the
+    ends of Moler, Numerical Computing with MATLAB, 3.6).  At an interior
+    node k the slope is the weighted harmonic mean of the secants m_(k-1)
+    and m_k, with weights 2 h_k + h_(k-1) and h_k + 2 h_(k-1), or 0 where
+    they change sign or one is 0.  An end slope is the three-point formula,
+    0 where its sign differs from the end secant and capped at three times
+    that secant where the first two secants differ in sign.  Two samples give
+    the line through them."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+
+    def end(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+    return np.concatenate(([end(h[0], h[1], m[0], m[1])], inner,
+                           [end(h[-1], h[-2], m[-1], m[-2])]))
+
+
 class SampledSource(ProfileSource):
-    """Monotone cubic interpolant through sampled (t, value) pairs.
+    """Monotone cubic interpolant through sampled (t, value) pairs: the
+    ``CubicHermite`` through the samples with PCHIP node slopes
+    (``_pchip_slopes``), in numpy alone, so a saved sampled model reloads
+    bit for bit.  Each sample, the last included, reads its own value.
 
     Extrapolation beyond the last sample is an error, not a guess.
     """
@@ -149,12 +181,10 @@ class SampledSource(ProfileSource):
             raise ProfileError("samples must be two equal-length 1-d arrays with >= 2 rows")
         if ts[0] < 0 or np.any(np.diff(ts) <= 0):
             raise ProfileError("sample abscissae must be nonnegative and strictly increasing")
-        from scipy.interpolate import PchipInterpolator  # loaded by sampled profiles only
-
         self.ts = ts
         self.values = values
-        self._interp = PchipInterpolator(ts, values, extrapolate=False)
-        self._deriv = self._interp.derivative()
+        slopes = _pchip_slopes(ts, values)
+        self._cubic = CubicHermite(ts, values, slopes[:-1], slopes[1:])
         self.domain_end = float(ts[-1])
 
     def __call__(self, t):
@@ -165,10 +195,12 @@ class SampledSource(ProfileSource):
                 f"sampled profile queried at t = {float(np.ravel(bad)[0]):.6g}, "
                 f"outside [{self.ts[0]:.6g}, {self.ts[-1]:.6g}]"
             )
-        return self._interp(np.clip(t_arr, self.ts[0], self.ts[-1]))
+        t_arr = np.minimum(t_arr, self.ts[-1])
+        # the last sample is u = 1 of the last interval, which rounds
+        return np.where(t_arr == self.ts[-1], self.values[-1], self._cubic(t_arr)[1])
 
     def derivative(self, t):
-        return self._deriv(np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1]))
+        return self._cubic(np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1]))[2]
 
     def breakpoints(self):
         return self.ts

@@ -17,7 +17,9 @@ with no further integrand call; the grid bisection of both gauges uses them.
 One-off integrals to a requested tolerance (a single ball) go through
 `adaptive_integral`: Gauss-Legendre bisection from the breakpoints, whose
 integrand runs once per round, on the nodes of every interval still being
-refined.  The module needs numpy only.
+refined.  ``CubicHermite`` is the one piecewise cubic Hermite of the
+package: the seed of the table inverses and the interpolant of sampled
+generators.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ log = logging.getLogger(__name__)
 
 ADAPTIVE_ORDER = 15  # nodes of each Gauss-Legendre rule in adaptive_integral
 MAX_SPLITS = 2000  # bisections before adaptive_integral gives up
+ABS_FLOOR = 1e-14  # least absolute tolerance of adaptive_integral's total
 
 
 class QuadratureError(RuntimeError):
@@ -152,6 +155,32 @@ def scalar_like(t, out):
     return float(out)
 
 
+class CubicHermite:
+    """The piecewise cubic through (x, y), x strictly increasing, with slopes
+    ``m0`` and ``m1`` at the left and right end of each interval.
+
+    A call at q returns (interval index, value, slope).  The index clamps
+    to the first and last interval, so a query at the last node is u = 1 of
+    the last interval; with d = q - x_i and u = d / (x_(i+1) - x_i), the
+    value is y_i + d (c1 + u (c2 + u c3)) and the slope c1 + u (2 c2 + 3 u c3).
+    A query at a node x_i before the last gives y_i exactly.  A 0-d query
+    computes on numpy scalars.
+    """
+
+    def __init__(self, x, y, m0, m1):
+        self.x, self.y = x, y
+        secant = np.diff(y) / np.diff(x)
+        self._coef = np.stack((m0, 3.0 * secant - 2.0 * m0 - m1, m0 + m1 - 2.0 * secant))
+
+    def __call__(self, q):
+        x = self.x
+        i = np.minimum(np.maximum(x.searchsorted(q, side="right") - 1, 0), x.size - 2)
+        c1, c2, c3 = self._coef.take(i, axis=1)
+        d = q - x[i]
+        u = d / (x[i + 1] - x[i])
+        return i, self.y[i] + d * (c1 + u * (c2 + u * c3)), c1 + u * (2.0 * c2 + 3.0 * u * c3)
+
+
 class CumulativeIntegral:
     """F(t) = integral of f from grid[0] to t, t in [grid[0], grid[-1]].
 
@@ -234,12 +263,11 @@ class CumulativeIntegral:
         return float(self.values[-1])
 
 
-def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: float = 1e-14,
-                      breakpoints=None) -> float:
+def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, breakpoints=None) -> float:
     """Adaptive integral of f (1-d float array in, same shape out) over [a, b].
 
     An interval I counts G(L) + G(R) with the estimate |G(I) - G(L) - G(R)|, and is done
-    when that is within rel_tol of its value or its width's share of max(abs_floor,
+    when that is within rel_tol of its value or its width's share of max(ABS_FLOOR,
     rel_tol |total|); the others are bisected.  Raises QuadratureError, with the achieved
     error estimate, after MAX_SPLITS bisections, when a midpoint no longer separates its
     ends, or on a non-finite estimate; on success that estimate is logged at DEBUG.
@@ -253,7 +281,7 @@ def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: f
     while True:
         value = left + right
         err = np.abs(coarse - value)
-        tol = max(abs_floor, rel_tol * abs(total + np.sum(value)))
+        tol = max(ABS_FLOOR, rel_tol * abs(total + np.sum(value)))
         split = ~(err <= np.maximum(rel_tol * np.abs(value), tol * (hi - lo) / (b - a)))
         total += float(np.sum(value[~split]))
         achieved += float(np.sum(err[~split]))
@@ -276,11 +304,11 @@ def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-8, abs_floor: f
 FD_STEP = 5e-4  # relative step of derivative_fd: its stencil spans t (1 +- 2 FD_STEP)
 
 
-def derivative_fd(f, t, rel_step: float = FD_STEP, knots=()):
-    """Fourth-order centred difference of a callable at t > 0 with a relative
-    step, from one call of ``f`` on the four stencil points (and one more on
-    the one-sided stencils below, where there are any).  Its rounding
-    error is about eps |f| / (rel_step t), so a wide step with a high order
+def derivative_fd(f, t, knots=()):
+    """Fourth-order centred difference of a callable at t > 0 with the relative
+    step FD_STEP, from one call of ``f`` on the four stencil points (and one
+    more on the one-sided stencils below, where there are any).  Its rounding
+    error is about eps |f| / (FD_STEP t), so a wide step with a high order
     keeps more digits of a slope taken from a nearly constant f (xi of an
     h-kind profile far out) than a narrow second-order stencil.
 
@@ -290,7 +318,7 @@ def derivative_fd(f, t, rel_step: float = FD_STEP, knots=()):
     fourth-order stencil on its own side.  A t on a knot differences to its
     right, and a t on or past the last knot to its left."""
     t_arr = np.asarray(t, dtype=float)
-    h = np.maximum(np.abs(t_arr), 1e-290) * rel_step
+    h = np.maximum(np.abs(t_arr), 1e-290) * FD_STEP
     side = np.zeros(t_arr.shape)  # 0 centred, -1 backward, +1 forward
     if len(knots):
         knots = np.asarray(knots, dtype=float)

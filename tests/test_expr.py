@@ -49,6 +49,17 @@ def test_functions_evaluate():
     assert evaluate(node, t) == pytest.approx(want, rel=1e-15)
 
 
+def test_expm1_keeps_its_digits_near_zero():
+    node = parse_expression("-0.5 * expm1(-t)")
+    for t in (1e-300, 1e-12, 1e-7, 0.3, 40.0):
+        assert evaluate(node, t) == -0.5 * math.expm1(-t)
+        # the slope 0.5 exp(-t) stays positive where expm1(-t) + 1 rounds to 0
+        assert evaluate_derivative(node, t) == pytest.approx(0.5 * math.exp(-t), rel=1e-15)
+    assert to_source(node) == "-0.5 * expm1(-t)"
+    with pytest.raises(EvaluationError, match="expm1 overflow"):
+        evaluate(parse_expression("expm1(t)"), 800.0)
+
+
 def test_min1_clamps_above_one():
     node = parse_expression("min1(t)")
     assert evaluate(node, 7.3) == 1.0

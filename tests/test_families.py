@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from cvlab.families import (
     step_profile,
     yau_counterexample,
 )
-from cvlab.metric import BuildOptions
+from cvlab.metric import BuildOptions, build_metric
 from cvlab.profiles import ProfileError, validate, validate_xi
 
 from _oracles import YAU_TOTAL_MASS, step_train_sample
@@ -165,6 +166,17 @@ def test_polynomial_xi_shapes_and_gate():
         polynomial_xi(1.5)
     with pytest.raises(ProfileError):
         polynomial_xi(0.5, shape="cubic")
+
+
+def test_exponential_xi_keeps_its_digits_near_the_origin():
+    # a (1 - exp(-t)) cancels to about log10(1/t) digits; -a expm1(-t) does not
+    p = polynomial_xi(0.5, shape="exponential")
+    t = np.geomspace(1e-15, 1e-3, 25)
+    with mpmath.workdps(40):
+        want = np.array([float(0.5 * -mpmath.expm1(-mpmath.mpf(u))) for u in t])
+    np.testing.assert_allclose(p.source(t), want, rtol=2e-16, atol=0.0)
+    m = build_metric(p, 3)
+    np.testing.assert_allclose(m.engine.xi_of(t), want, rtol=2e-16, atol=0.0)
 
 
 def test_flat_profile_validates():

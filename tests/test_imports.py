@@ -1,5 +1,6 @@
-"""The model path imports numpy only, and not numpy.ma; scipy loads for a
-sampled generator alone."""
+"""The runtime imports numpy only, and not numpy.ma: closed-form, step-train
+and sampled generators, their series, totals, inverses and single-ball
+integrals, and the command line on a sampled profile file, load no scipy."""
 
 import os
 import subprocess
@@ -55,16 +56,34 @@ for model in (poly, yau):
         assert all(np.isfinite(route(model, q)))
 assert_scipy_free("abc_at_r and abc_at_x")
 
-# the one user of scipy left still works, and loads scipy.interpolate only
-sampled = cvlab.SampledSource(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.25, 0.5]))
-assert sampled(1.5) == 0.375
-assert "scipy.interpolate" in sys.modules
-assert not any(m.startswith("scipy.integrate") for m in sys.modules), "scipy.integrate loaded"
+# sampled generators: a monotone cubic in numpy
+ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 199)))
+sampled_xi = cvlab.GeneratorProfile(
+    cvlab.GeneratorKind.XI, cvlab.SampledSource(ts, 0.5 * ts / (1.0 + ts)), name="sampled-xi"
+)
+sampled = cvlab.build_metric(sampled_xi, 2)
+assert np.all(np.isfinite(integrals.normalized_sigma_series(sampled, 2).normalized))
+assert np.isfinite(integrals.chern_number(sampled).value)
+assert_scipy_free("a sampled xi model, its sigma_2 series and chern_number")
+
+sampled_h = cvlab.GeneratorProfile(
+    cvlab.GeneratorKind.H, cvlab.SampledSource(ts, (1.0 + ts) ** -0.5), name="sampled-h"
+)
+assert np.isfinite(cvlab.build_metric(sampled_h, 2).s[-1])
+assert_scipy_free("a sampled h model")
+
+with open("xi.csv", "w") as fh:
+    fh.write("t,value\n" + "".join(f"{t!r},{0.5 * t / (1.0 + t)!r}\n" for t in ts.tolist()))
+with open("sampled.cvp", "w") as fh:
+    fh.write("kind = xi\nsamples = xi.csv\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cvlab.cli.main(["classify", "--profile", "sampled.cvp", "--n", "2"]) == 0
+assert_scipy_free("cvlab classify --profile on a samples file")
 print("ok")
 """
 
 
-def test_model_path_is_scipy_free_until_a_scipy_user_runs(tmp_path):
+def test_runtime_is_scipy_free(tmp_path):
     env = dict(os.environ)
     root = str(Path(cvlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))

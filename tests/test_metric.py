@@ -653,6 +653,21 @@ def test_yau_grid_meets_its_node_budget_and_tolerance(yau_n3):
     assert np.max(tail) / scale == pytest.approx(m.engine.grid_record.worst_estimate, rel=1e-12)
 
 
+def test_cells_left_above_tolerance_warn(caplog):
+    # lp beta = 5 at l_max 75: transitions 1e-10 wide, whose cells stop at the
+    # MIN_CELL floor above GRID_TOL (rounding of (t - a)/width), one WARNING
+    # with their count; the default step trains meet the tolerance silently
+    with caplog.at_level(logging.WARNING, logger="cvlab.metric"):
+        yau_counterexample()
+        lp_counterexample()
+        assert not caplog.records
+        m = lp_counterexample(2, p=2.37, alpha=2.48, beta=5.0, l_max=75)
+    assert m.engine.grid_record.worst_estimate > metric_module.GRID_TOL
+    [warning] = [rec.getMessage() for rec in caplog.records]
+    assert re.fullmatch(r"x grid: (\d+) cell\(s\) above tolerance after \d+ bisection rounds, "
+                        r"\1 of them at the width floor", warning)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -77,6 +77,39 @@ def test_sampled_monotone_data_interpolates_monotonically(increments):
     assert np.all(np.diff(out) >= -1e-12)
 
 
+@st.composite
+def _pchip_cases(draw):
+    """2-30 samples at non-uniform steps, values on a 1e-5 lattice in [-10, 10]
+    (flat runs where a value repeats, sign changes of the secants), and queries
+    at the samples, at the midpoints and at random points."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=n - 1,
+                          max_size=n - 1))
+    ts = np.concatenate(([0.0], np.cumsum(steps)))
+    lattice = st.integers(min_value=-10**6, max_value=10**6).map(lambda k: k * 1e-5)
+    values = [draw(lattice)]
+    for _ in range(n - 1):
+        values.append(values[-1] if draw(st.booleans()) else draw(lattice))
+    fractions = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+    queries = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]), np.array(fractions) * ts[-1]))
+    return ts, np.array(values), queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pchip_cases())
+def test_sampled_source_is_scipys_pchip(case):
+    from scipy.interpolate import PchipInterpolator  # the reference; the runtime has no scipy
+
+    ts, values, queries = case
+    src, want = SampledSource(ts, values), PchipInterpolator(ts, values)
+    assert np.array_equal(src(ts), values)
+    scale = max(np.max(np.abs(values)), 1e-300)
+    assert np.max(np.abs(src(queries) - want(queries))) <= 1e-13 * scale
+    slope_scale = max(np.max(np.abs(np.diff(values) / np.diff(ts))), 1e-300)
+    slopes = src.derivative(queries) - want.derivative()(queries)
+    assert np.max(np.abs(slopes)) <= 1e-13 * slope_scale
+
+
 # ---------------------------------------------------------------------------
 # validators
 
