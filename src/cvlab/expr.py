@@ -249,15 +249,15 @@ def _apply(node: Unary | Binary, a, b=None):
             return -a
         if node.op in ("exp", "expm1"):
             out = np.exp(a) if node.op == "exp" else np.expm1(a)
-            if np.any(np.isinf(out)):
+            if np.count_nonzero(np.isinf(out)):
                 raise EvaluationError(f"{node.op} overflow", node.pos)
             return out
         if node.op == "ln":
-            if np.any(np.asarray(a) <= 0.0):
+            if np.count_nonzero(np.asarray(a) <= 0.0):
                 raise EvaluationError("ln of a nonpositive value", node.pos)
             return np.log(a)
         if node.op == "sqrt":
-            if np.any(np.asarray(a) < 0.0):
+            if np.count_nonzero(np.asarray(a) < 0.0):
                 raise EvaluationError("sqrt of a negative value", node.pos)
             return np.sqrt(a)
         if node.op == "min1":
@@ -270,17 +270,17 @@ def _apply(node: Unary | Binary, a, b=None):
     if node.op == "*":
         return a * b
     if node.op == "/":
-        if np.any(np.asarray(b) == 0.0):
+        if np.count_nonzero(np.asarray(b) == 0.0):
             raise EvaluationError("division by zero", node.pos)
         return a / b
     if node.op == "^":
         a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if np.any((a_arr == 0.0) & (b_arr < 0.0)):
+        if np.count_nonzero((a_arr == 0.0) & (b_arr < 0.0)):
             raise EvaluationError("zero raised to a negative power", node.pos)
-        if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
+        if np.count_nonzero((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
             raise EvaluationError("negative base with non-integer exponent", node.pos)
         out = np.power(a, b)
-        if np.any(np.isinf(out)):
+        if np.count_nonzero(np.isinf(out)):
             raise EvaluationError("power overflow", node.pos)
         return out
     raise AssertionError(f"unknown binary op {node.op}")
@@ -336,12 +336,12 @@ def _eval_dual(node: Expr, t: np.ndarray):
     if node.op == "^":
         a_arr = np.asarray(a, dtype=float)
         b_arr = np.asarray(b, dtype=float)
-        constant_exponent = np.all(np.asarray(db) == 0.0)
+        constant_exponent = not np.count_nonzero(np.asarray(db) != 0.0)
         if constant_exponent:
             # a^b * b * da / a without dividing by a zero base
             dval = b_arr * np.power(a_arr, b_arr - 1.0) * da
             return val, dval
-        if np.any(a_arr <= 0.0):
+        if np.count_nonzero(a_arr <= 0.0):
             raise EvaluationError(
                 "power with varying exponent needs a positive base", node.pos
             )

@@ -58,10 +58,12 @@ from .quadrature import (
     cell_tails,
     derivative_fd,
     extrapolate_limit,
+    extremes,
     gauss_nodes,
     legendre_tail,
     scalar_like,
     unique_sorted,
+    where_all,
 )
 
 log = logging.getLogger(__name__)
@@ -257,7 +259,7 @@ def _xi_prime_tail(grid, values):
 
 def _profile_fn(profile: GeneratorProfile):
     """The generator as a float-array callable of native radii."""
-    return lambda t: _as_float(eval_profile(profile, _as_float(t)))
+    return lambda t: _as_float(eval_profile(profile, _as_float(t)))[()]
 
 
 def _xi_of_fprime(fp):
@@ -274,7 +276,7 @@ def _f_parts(t, p, pp, w):
     """(A, v, w, xi, dv/dx) on the x gauge from F' = p, F'' = pp and w at x = t."""
     sq = np.hypot(1.0, p)
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: the limit F''(0)^2/2
-        A = np.where(t > 0, p * pp / (2.0 * t * np.power(sq, 4)), 0.5 * np.square(pp))
+        A = where_all(t > 0, p * pp / (2.0 * t * np.power(sq, 4)), 0.5 * np.square(pp))
     return A, t * t + w, w, _xi_of_fprime(p), 2.0 * t * sq  # dv/dx = 2x sq
 
 
@@ -282,8 +284,8 @@ def _curvature(interior, A, v, w, xi, dv):
     """(A, B, C, v, dv) from parts; ``interior`` is False at the origin."""
     v2 = np.square(v)  # a ufunc, not **: see scalar_like
     with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 at the origin
-        B = np.where(interior, (xi * v - w) / v2, 0.5 * A)
-        C = np.where(interior, 2.0 * w / v2, A)
+        B = where_all(interior, (xi * v - w) / v2, 0.5 * A)
+        C = where_all(interior, 2.0 * w / v2, A)
     return A, B, C, v, dv
 
 
@@ -322,12 +324,12 @@ class Engine:
 
     def curvature_of(self, t):
         """(A, B, C, v, dv/dt) at native radii t."""
-        t = _as_float(t)
+        t = _as_float(t)[()]  # a numpy scalar for a 0-d query
         return _curvature(t > 0, *self.parts_of(t))
 
     def node_curvature(self):
         """(A, B, C, v, dv/dt) at ``gauss_nodes(grid)``, which never sit at the origin."""
-        return _curvature(True, *self.node_parts())
+        return _curvature(np.True_, *self.node_parts())
 
     def abc_of(self, t):
         return self.curvature_of(t)[:3]
@@ -378,7 +380,7 @@ def _xi_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
 
         def xi_prime_of(t):
             exact = profile.source.derivative(_as_float(t))
-            return xi_prime_fd(t) if exact is None else _as_float(exact)
+            return xi_prime_fd(t) if exact is None else _as_float(exact)[()]
 
         h_origin = opts.h0
     else:  # injected h; xi derived.  Origin-singular h is truncated at the grid floor.
@@ -465,6 +467,7 @@ def _f_engine(profile: GeneratorProfile, opts: BuildOptions) -> Engine:
     logr = CumulativeIntegral(2.0 * sq_minus_1 / nodes, grid)
 
     def parts_of(t):
+        t = _as_float(t)[()]  # a numpy scalar for a 0-d query, as in curvature_of
         return _f_parts(t, fp(t), fpp(t), w(t))
 
     def node_parts():
@@ -491,9 +494,9 @@ def _check_range(name: str, q, first: float, last: float) -> float:
     (a relative 1e-9 past ``last`` passes); else, NaN included, ValueError.
     An in-range query costs two reductions (none for a 0-d q, which compares
     as a float) and two scalar comparisons."""
-    low, top = (q.min(initial=np.inf), q.max(initial=-np.inf)) if q.ndim else (float(q),) * 2
+    low, top = extremes(q)
     if not low >= first:  # NaN fails here
-        low = np.min(q[q != 0], initial=np.inf)  # the origin is always in range
+        low = np.min(q, where=q != 0, initial=np.inf)  # the origin is always in range
         if not low >= first:
             why = ("not a number" if np.isnan(low) else "below 0" if first == 0
                    else f"below the first positive table node {name}1 = {first:.6g}")
@@ -516,9 +519,10 @@ class _TableInverse:
     node q1 the table has no data, and past the last node it has none
     either, so a query there raises ValueError, as a NaN query does; the
     last node answers its own value, and queries within a relative 1e-9
-    beyond it, with itself exactly.  A point
-    that is done keeps its t while others step, and a 0-d query runs on
-    numpy scalars, so a point gets the same bits alone or in a batch.
+    beyond it, with itself exactly.  A point that is done keeps its t while
+    others step, so a point gets the same bits alone or in a batch.  A 0-d
+    query computes on numpy scalars along the batch's path, and t and the
+    residual come back as numpy scalars.
     """
 
     def __init__(self, name: str, q_of, values, native, log_slope):
@@ -540,7 +544,7 @@ class _TableInverse:
 
     def __call__(self, q):
         """(native coordinate, final log-residual ln(q(t)/q)) at q."""
-        q = _as_float(q)  # a 0-d query computes on numpy scalars
+        q = _as_float(q)[()]  # a numpy scalar for a 0-d query
         top = _check_range(self.name, q, self._q[0], self._q[-1])
         origin = q == 0
         q = np.minimum(np.maximum(q, self._q[0]), self._q[-1])
@@ -550,19 +554,18 @@ class _TableInverse:
         if top >= self._q[-1]:  # the seed can land an ulp short of the last node
             t = np.where(q == self._q[-1], self._t[-1], t)
         res = np.log(self._q_of(t) / q)
-        live, steps = np.ones(q.shape, dtype=bool), 0
+        live, steps = np.True_, 0
         while True:
             # done at rounding: of q(t), or of t where q is steeper than t; a
             # point that is done keeps its t, so no query moves it with others
             live &= ~((np.abs(res) <= 2.0 * _EPS) | (np.abs(slope * res) <= _EPS))
             if steps == NEWTON_STEPS or not np.count_nonzero(live):
                 break
-            t = np.where(live, np.minimum(np.maximum(t * np.exp(-slope * res), lo), hi), t)
-            res = np.where(live, np.log(self._q_of(t) / q), res)
+            t = where_all(live, np.minimum(np.maximum(t * np.exp(-slope * res), lo), hi), t)
+            res = where_all(live, np.log(self._q_of(t) / q), res)
             steps += 1
         if np.count_nonzero(origin):
             t, res = np.where(origin, 0.0, t), np.where(origin, 0.0, res)
-        t, res = np.asarray(t), np.asarray(res)  # 0-d arrays for a 0-d query
         self._report(res, i, steps)
         return t, res
 
@@ -573,7 +576,7 @@ class _TableInverse:
         stuck = (np.abs(res) > RESIDUAL_WARN) & ~self._flat[i]
         if np.count_nonzero(stuck):
             log.warning("%s inverse: log-residual %.3g after %d Newton steps at %d point(s)",
-                        self.name, float(np.max(np.abs(res[stuck]))), steps,
+                        self.name, float(np.max(np.abs(res), where=stuck, initial=0.0)), steps,
                         int(np.count_nonzero(stuck)))
 
 
@@ -630,7 +633,7 @@ class MetricModel:
     def radius_from_s(self, s):
         """Native radius at geodesic distance s."""
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 0):
+        if np.count_nonzero(s_arr <= 0):
             raise ValueError(f"distance outside the tabulated range (0, {self.s[-1]:.6g}]")
         return scalar_like(s, self._inverse("s")(s_arr)[0])
 

@@ -187,20 +187,26 @@ class SampledSource(ProfileSource):
         self._cubic = CubicHermite(ts, values, slopes[:-1], slopes[1:])
         self.domain_end = float(ts[-1])
 
-    def __call__(self, t):
+    def _checked(self, t):
+        """t as a float array clamped onto the last sample, once every point is
+        within the samples (a relative 1e-12 past the last passes); else, NaN
+        included, ProfileDomainError."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.ts[0]) or np.any(t_arr > self.ts[-1] * (1 + 1e-12)):
-            bad = t_arr[(t_arr < self.ts[0]) | (t_arr > self.ts[-1] * (1 + 1e-12))]
+        inside = (t_arr >= self.ts[0]) & (t_arr <= self.ts[-1] * (1 + 1e-12))  # NaN fails
+        if np.count_nonzero(inside) != inside.size:
             raise ProfileDomainError(
-                f"sampled profile queried at t = {float(np.ravel(bad)[0]):.6g}, "
+                f"sampled profile queried at t = {float(t_arr[~inside].flat[0]):.6g}, "
                 f"outside [{self.ts[0]:.6g}, {self.ts[-1]:.6g}]"
             )
-        t_arr = np.minimum(t_arr, self.ts[-1])
+        return np.minimum(t_arr, self.ts[-1])
+
+    def __call__(self, t):
+        t_arr = self._checked(t)
         # the last sample is u = 1 of the last interval, which rounds
         return np.where(t_arr == self.ts[-1], self.values[-1], self._cubic(t_arr)[1])
 
     def derivative(self, t):
-        return self._cubic(np.clip(np.asarray(t, dtype=float), self.ts[0], self.ts[-1]))[2]
+        return self._cubic(self._checked(t))[2]
 
     def breakpoints(self):
         return self.ts
@@ -225,10 +231,15 @@ class GeneratorProfile:
 
 
 def eval_profile(profile: GeneratorProfile, t) -> np.ndarray:
+    """The profile at t >= 0 up to a relative 1e-12 past its domain end; else,
+    NaN included, ProfileDomainError."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ProfileDomainError("profiles are defined for t >= 0")
-    if np.any(t_arr > profile.domain_end * (1 + 1e-12)):
+    inside = (t_arr >= 0) & (t_arr <= profile.domain_end * (1 + 1e-12))  # NaN fails both
+    if np.count_nonzero(inside) != inside.size:
+        if np.count_nonzero(np.isnan(t_arr)):
+            raise ProfileDomainError("t = nan is not a number")
+        if np.count_nonzero(t_arr < 0):
+            raise ProfileDomainError("profiles are defined for t >= 0")
         raise ProfileDomainError(
             f"profile {profile.name!r} queried beyond its domain end {profile.domain_end:g}"
         )

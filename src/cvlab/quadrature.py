@@ -138,6 +138,21 @@ def unique_sorted(a) -> np.ndarray:
     return a[keep]
 
 
+def extremes(q):
+    """(min, max) of the float array ``q``, NaN if it holds one, or (inf, -inf)
+    if it is empty; a 0-d ``q``, a numpy scalar included, is read as a float
+    twice, with no reduction."""
+    return (q.min(initial=np.inf), q.max(initial=-np.inf)) if q.ndim else (float(q),) * 2
+
+
+def where_all(mask, new, old):
+    """``np.where(mask, new, old)`` for ``new`` of the mask's shape, which is
+    ``new`` itself when the mask is all True: a numpy scalar stays one, and
+    a batch with nothing to keep makes no pass over ``old``.  ``mask`` is an
+    array or a numpy bool, not a Python bool."""
+    return new if np.count_nonzero(mask) == mask.size else np.where(mask, new, old)
+
+
 def scalar_like(t, out):
     """``out`` as Python floats when the query ``t`` is a scalar, else as is.
 
@@ -196,9 +211,11 @@ class CumulativeIntegral:
     Clenshaw recurrence (Clenshaw, Math. Comp. 9, 1955), point by point, with
     the constants of numpy's ``legval``: the same bits, alone or in a batch.
     A point on a grid node reads the table, and a query made only of nodes
-    (a model's own grid) returns after the search.  A 0-d query computes on
-    numpy scalars.  A query outside the grid, beyond a relative 1e-12, or a
-    NaN raises ValueError.
+    (a model's own grid) returns after the search.  A query outside the
+    grid, beyond a relative 1e-12, or a NaN raises ValueError.
+
+    A 0-d query computes on numpy scalars along the batch's path, and gets
+    the batch's bits.
     """
 
     def __init__(self, f, grid: np.ndarray, order: int = 8):
@@ -219,25 +236,27 @@ class CumulativeIntegral:
                                  f"got {vals.shape}")
             cell = _rule_sums(vals, lo, hi)
         self.values = np.concatenate([[0.0], np.cumsum(cell)])
-        self._coef = vals @ _antiderivative_matrix(order)  # (cells, order + 1)
+        # (order + 1, cells): row k holds c_k of every cell, so a query's
+        # take(cell, axis=1) gives contiguous rows, numpy scalars for one point
+        self._coef = _antiderivative_matrix(order).T @ vals.T
         self._clenshaw = _clenshaw_constants(order + 1)
         lo, hi = grid[0], grid[-1]
         self._lo_limit = lo - 1e-12 * max(1.0, abs(lo))
         self._hi_limit = hi * (1 + 1e-12) + 1e-300
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)  # a 0-d query computes on numpy scalars
+        t_arr = np.asarray(t, dtype=float)[()]  # a numpy scalar for a 0-d query
         grid = self.grid
         lo, hi = grid[0], grid[-1]
-        # min/max propagate NaN, so a NaN query fails both checks
-        if not (t_arr.min(initial=np.inf) >= self._lo_limit
-                and t_arr.max(initial=-np.inf) <= self._hi_limit):
+        low, top = extremes(t_arr)
+        if not (low >= self._lo_limit and top <= self._hi_limit):  # NaN fails both
             raise ValueError(f"cumulative integral queried outside [{lo}, {hi}]")
         t_arr = np.minimum(np.maximum(t_arr, lo), hi)
         idx = grid.searchsorted(t_arr, side="right") - 1
         out = self.values[idx]
         live = t_arr > grid[idx]  # grid nodes, the last included, read the table
-        if not np.count_nonzero(live):
+        n_live = np.count_nonzero(live)
+        if not n_live:
             return scalar_like(t, out)
         cell = np.minimum(idx, grid.size - 2)
         a, b = grid[cell], grid[cell + 1]
@@ -246,17 +265,18 @@ class CumulativeIntegral:
         half = 0.5 * width
         del a, b, width, t_arr, idx  # a big query's peak stays under glibc's trim threshold
         # legval's recurrence, inline: no reduction whose order depends on the batch
-        c = self._coef.take(cell, axis=0)
-        c0, c1 = c[..., -2], c[..., -1]
+        c = self._coef.take(cell, axis=1)  # row k: c_k of each point's cell
+        c0, c1 = c[-2], c[-1]
         for k, (p, q) in enumerate(self._clenshaw, start=3):
-            c0, c1 = c[..., -k] - c1 * p, c0 + c1 * x * q
-        return scalar_like(t, np.where(live, out + half * (c0 + c1 * x), out))
+            c0, c1 = c[-k] - c1 * p, c0 + c1 * x * q
+        total = out + half * (c0 + c1 * x)
+        return scalar_like(t, total if n_live == live.size else np.where(live, total, out))
 
     def at_nodes(self) -> np.ndarray:
         """F at ``gauss_nodes(grid, order)``, (cells, order): one product of the
         stored coefficients with the node Legendre table, no search."""
         half = 0.5 * np.diff(self.grid)
-        return self.values[:-1, None] + half[:, None] * (self._coef @ _node_vander(self.order))
+        return self.values[:-1, None] + half[:, None] * (self._coef.T @ _node_vander(self.order))
 
     @property
     def total(self) -> float:

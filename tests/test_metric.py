@@ -491,7 +491,8 @@ def test_nan_queries_raise(poly05_n2, yau_n3):
     for query in (lambda: volume_ball(m, nan), lambda: m.radius_from_s(nan),
                   lambda: m.radius_from_s(np.array([1.0, nan])),
                   lambda: yau_n3.native_from_r(np.array([[nan]])), lambda: m.native_from_x(nan),
-                  lambda: distance_s(m, r=nan), lambda: distance_s(yau_n3, x=nan)):
+                  lambda: distance_s(m, r=nan), lambda: distance_s(yau_n3, x=nan),
+                  lambda: m.engine.xi_of(nan), lambda: yau_n3.engine.fpp_of(nan)):
         with pytest.raises(ValueError, match="nan is not a number"):
             query()
 
@@ -838,7 +839,8 @@ def test_save_is_atomic(tmp_path, poly05_n2):
 
 
 def _assert_scalar_contract(fn, points):
-    """A 1-d array gives arrays of its shape; each float gives Python floats."""
+    """A 1-d array gives arrays of its shape; each float gives Python floats,
+    the batch's entries bit for bit."""
     vec = fn(points)
     parts = vec if isinstance(vec, tuple) else (vec,)
     for part in parts:
@@ -849,16 +851,24 @@ def _assert_scalar_contract(fn, points):
         assert len(ones) == len(parts)
         for u, part in zip(ones, parts):
             assert type(u) is float
-            assert u == pytest.approx(part[i], rel=1e-12)
+            assert u == part[i], (q, u, part[i])
 
 
-@pytest.mark.parametrize("fixture", ["poly05_n2", "lp_model"])
+def _nodes_and_mid_cells(table):
+    """Three entries of a table, then the midpoints of twelve of its cells,
+    spread over it: a query on a node reads the table, one inside a cell sums
+    the cell's series."""
+    n = len(table)
+    cells = np.linspace(1, n - 2, 12).astype(int)
+    return np.concatenate((table[[n // 40, n // 4, n // 2]],
+                           0.5 * (table[cells] + table[cells + 1])))
+
+
+@pytest.mark.parametrize("fixture", ["poly05_n2", "s3_n2", "lp_model", "yau_n3"])
 def test_point_functions_scalar_contract(fixture, request):
     m = request.getfixturevalue(fixture)
-    n = len(m.s)
-    idx = [n // 40, n // 4, n // 2]
-    r, x, s = m.r[idx], m.x[idx], m.s[idx]
-    _assert_scalar_contract(lambda t: abc_native(m, t), m.native[idx])
+    r, x, s = (_nodes_and_mid_cells(getattr(m, table)) for table in ("r", "x", "s"))
+    _assert_scalar_contract(lambda t: abc_native(m, t), _nodes_and_mid_cells(m.native))
     _assert_scalar_contract(lambda q: abc_at_r(m, q), r)
     _assert_scalar_contract(lambda q: abc_at_x(m, q), x)
     _assert_scalar_contract(lambda q: distance_s(m, r=q), r)
@@ -867,6 +877,19 @@ def test_point_functions_scalar_contract(fixture, request):
     _assert_scalar_contract(m.radius_from_s, s)
     _assert_scalar_contract(m.native_from_r, r)
     _assert_scalar_contract(m.native_from_x, x)
+
+
+@pytest.mark.parametrize("fixture", ["poly05_n2", "yau_n3"])
+def test_parts_of_takes_a_float(fixture, request):
+    # each gauge's parts at one Python float, the origin included, are the
+    # batch's entries bit for bit
+    m = request.getfixturevalue(fixture)
+    t = np.concatenate(([0.0], _nodes_and_mid_cells(m.native)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = m.engine.parts_of(t)
+        for i, q in enumerate(t):
+            for u, part in zip(m.engine.parts_of(float(q)), batch):
+                assert u == part[i] or (np.isnan(u) and np.isnan(part[i])), (q, u, part[i])
 
 
 def test_conversions_scalar_contract():

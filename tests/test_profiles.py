@@ -36,6 +36,12 @@ def test_eval_profile_rejects_negative_t():
         eval_profile(xi_profile("t"), -0.5)
 
 
+def test_eval_profile_rejects_nan():
+    for t in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ProfileDomainError, match="t = nan is not a number"):
+            eval_profile(xi_profile("t"), t)
+
+
 def test_eval_profile_respects_domain_end():
     p = GeneratorProfile(GeneratorKind.XI, ClosedFormSource("t", domain_end=10.0))
     assert eval_profile(p, 10.0) == 10.0
@@ -59,6 +65,17 @@ def test_sampled_source_derivative_available():
     d = src.derivative(np.array([0.5, 1.0, 2.0]))
     want = 1.0 / np.cosh([0.5, 1.0, 2.0]) ** 2
     assert np.allclose(d, want, atol=5e-3)
+
+
+def test_sampled_source_derivative_is_range_checked_like_its_values():
+    # outside the samples, NaN included, the slope raises as the value does
+    src = SampledSource(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.25]))
+    for t in (5.0, -3.0, np.nan, np.array([1.0, 5.0])):
+        for method in (src, src.derivative):
+            with pytest.raises(ProfileDomainError, match="outside"):
+                method(t)
+    # a relative 1e-12 past the last sample reads the last sample
+    assert src.derivative(2.0 * (1 + 1e-13)) == src.derivative(2.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -73,7 +73,7 @@ def legval_query(table, t):
     i = idx[live]
     a, b = grid[i], grid[i + 1]
     u = (2.0 * t_arr[live] - a - b) / (b - a)
-    out[live] += 0.5 * (b - a) * legval(u, table._coef[i].T, tensor=False)
+    out[live] += 0.5 * (b - a) * legval(u, table._coef[:, i], tensor=False)
     return out.reshape(np.shape(t))
 
 
